@@ -2,18 +2,11 @@
 
 Builds combined representations by weighted concatenation, low-rank
 compression, or jointly trained latent vectors; fills vocabulary gaps
-with learned cross-set projections; and evaluates the results on word
-similarity and word analogy benchmarks.
+with least-squares cross-set projections; and evaluates the results on
+word similarity and word analogy benchmarks.
 """
 
-from .ensemble import (
-    MetaEmbeddings,
-    ProjectionBundle,
-    concatenate,
-    svd_reduce,
-    train_latent,
-    train_latent_union,
-)
+from .ensemble import concatenate, svd_reduce, train_latent, train_latent_union
 from .evaluate import (
     AnalogyDataset,
     EvalResult,
@@ -26,15 +19,9 @@ from .evaluate import (
     spearman,
 )
 from .io import EmbeddingSet, load_embedding_set, save_embedding_set
-from .linalg import (
-    SvdResult,
-    dot_similarity,
-    normalize_columns,
-    normalize_rows,
-    truncated_svd,
-)
+from .linalg import SvdResult, normalize_columns, normalize_rows, truncated_svd
 from .oov import ProjectionMap, extend_all, fill_oov, train_projection
-from .optimizer import TrainConfig, TrainReport, adagrad_update, minibatches
+from .optimizer import TrainConfig, TrainReport
 from .vocab import VocabAlignment, align, oov_words
 
 __version__ = "0.1.0"
@@ -43,19 +30,15 @@ __all__ = [
     "AnalogyDataset",
     "EmbeddingSet",
     "EvalResult",
-    "MetaEmbeddings",
-    "ProjectionBundle",
     "ProjectionMap",
     "SimilarityDataset",
     "SvdResult",
     "TrainConfig",
     "TrainReport",
     "VocabAlignment",
-    "adagrad_update",
     "align",
     "answer_analogy",
     "concatenate",
-    "dot_similarity",
     "eval_analogy",
     "eval_similarity",
     "extend_all",
@@ -63,7 +46,6 @@ __all__ = [
     "load_analogy_dataset",
     "load_embedding_set",
     "load_similarity_dataset",
-    "minibatches",
     "normalize_columns",
     "normalize_rows",
     "oov_words",

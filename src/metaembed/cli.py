@@ -33,9 +33,16 @@ from .vocab import align
 DATA_DIR_ENV = "METAEMBED_DATA_DIR"
 
 _TRAIN_FIELDS = (
-    "batch_size", "learning_rate", "l2_weight", "epochs", "seed",
-    "loss_weight_scalar", "adagrad_epsilon",
+    "batch_size", "learning_rate", "l2_weight", "epochs", "seed", "adagrad_epsilon",
 )
+# AdaGrad settings that extend accepts but cannot use: its projections
+# are fitted in closed form.  Field name -> flag.
+_EXTEND_UNUSED = {
+    "epochs": "--epochs",
+    "batch_size": "--batch-size",
+    "learning_rate": "--lr",
+    "adagrad_epsilon": "--adagrad-epsilon",
+}
 
 
 @dataclass
@@ -183,7 +190,7 @@ def cmd_build(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     vector_path = out_dir / f"{method}.txt"
-    save_embedding_set(meta.as_embedding_set(name=method), vector_path)
+    save_embedding_set(meta, vector_path)
     if extended is not None:
         for ext in extended:
             save_embedding_set(ext, out_dir / f"{ext.name}.extended.txt")
@@ -221,6 +228,16 @@ def cmd_extend(args) -> int:
         raise ValueError(f"extend needs at least 2 sets, got {len(specs)}")
     strategy = args.strategy or file_config.get("strategy", oov.PROJECTED)
     config = make_train_config(args, file_config, TrainConfig.projection_defaults())
+    ignored = [
+        flag for field, flag in _EXTEND_UNUSED.items()
+        if getattr(args, field) is not None or field in file_config
+    ]
+    if ignored:
+        print(
+            f"warning: no effect on extend, which fits projections in closed form: "
+            f"{', '.join(ignored)}",
+            file=sys.stderr,
+        )
 
     sets = _load_sets(specs)
     extended = oov.extend_all(sets, config, strategy)
@@ -332,9 +349,6 @@ def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p.add_argument("--l2", dest="l2_weight", type=float, default=None)
-    p.add_argument(
-        "--weight-scalar", dest="loss_weight_scalar", type=float, default=None
-    )
     p.add_argument(
         "--adagrad-epsilon", dest="adagrad_epsilon", type=float, default=None
     )

@@ -18,9 +18,6 @@ reported as per-word means (excluding the penalty term).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .io import EmbeddingSet
@@ -43,52 +40,6 @@ LATENT_UNION = "latent_union"
 METHODS = (CONCAT, SVD, LATENT, LATENT_UNION)
 
 DEFAULT_DIM = 200
-
-
-@dataclass(frozen=True)
-class MetaEmbeddings:
-    """Combined vectors over a vocabulary, tagged with their construction."""
-
-    words: list[str]
-    matrix: np.ndarray
-    method: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "words", list(self.words))
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.float64))
-        if self.matrix.shape[0] != len(self.words):
-            raise ValueError(
-                f"{len(self.words)} words but {self.matrix.shape[0]} matrix rows"
-            )
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.words)}
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def as_embedding_set(self, name: str = "meta") -> EmbeddingSet:
-        return EmbeddingSet(name=name, words=self.words, matrix=self.matrix)
-
-
-@dataclass(frozen=True)
-class ProjectionBundle:
-    """Learned maps from the meta space into each set's space.
-
-    ``maps[name]`` has shape (set dim, meta dim).
-    """
-
-    maps: dict[str, np.ndarray]
 
 
 def _set_weight(weights: dict[str, float], name: str) -> float:
@@ -115,8 +66,8 @@ def concatenate(
     weights: dict[str, float],
     alignment: VocabAlignment,
     column_normalize: list[str] = (),
-) -> MetaEmbeddings:
-    """Weighted concatenation over the shared vocabulary.
+) -> EmbeddingSet:
+    """Weighted concatenation over the shared vocabulary, named ``concat``.
 
     Each set's matrix is optionally normalized per dimension (for sets
     named in ``column_normalize``), then each vector is L2-normalized
@@ -138,21 +89,19 @@ def concatenate(
             matrix = normalize_columns(matrix)
         rows = normalize_rows(matrix[_vocab_rows(s.name, s.index, vocab)])
         blocks.append(_set_weight(weights, s.name) * rows)
-    return MetaEmbeddings(words=vocab, matrix=np.hstack(blocks), method=CONCAT)
+    return EmbeddingSet(name=CONCAT, words=vocab, matrix=np.hstack(blocks))
 
 
-def svd_reduce(conc: MetaEmbeddings, dim: int = DEFAULT_DIM) -> MetaEmbeddings:
+def svd_reduce(conc: EmbeddingSet, dim: int = DEFAULT_DIM) -> EmbeddingSet:
     """Compress a concatenation into its leading left-singular subspace.
 
-    Rows of the output are the L2-normalized rows of the top-``dim``
-    left-singular vectors of the concatenation matrix.
+    Rows of the output, named ``svd``, are the L2-normalized rows of the
+    top-``dim`` left-singular vectors of the concatenation matrix.
     """
-    if conc.method != CONCAT:
-        raise ValueError(f"expected a {CONCAT!r} input, got {conc.method!r}")
+    if conc.name != CONCAT:
+        raise ValueError(f"expected a {CONCAT!r} input, got {conc.name!r}")
     result = truncated_svd(conc.matrix, dim)
-    return MetaEmbeddings(
-        words=conc.words, matrix=normalize_rows(result.u_d), method=SVD
-    )
+    return EmbeddingSet(name=SVD, words=conc.words, matrix=normalize_rows(result.u_d))
 
 
 def prediction_loss_grads(
@@ -250,11 +199,14 @@ def train_latent(
     weights: dict[str, float],
     dim: int = DEFAULT_DIM,
     config: TrainConfig | None = None,
-) -> tuple[MetaEmbeddings, ProjectionBundle, TrainReport]:
+) -> tuple[EmbeddingSet, dict[str, np.ndarray], TrainReport]:
     """Learn meta-vectors over the shared vocabulary.
 
     Meta-vectors and per-set maps start from small random values and are
     trained to reproduce every set's vector for every shared word.
+    Returns the meta-embeddings (named ``latent``), the learned maps
+    from the meta space into each set's space keyed by set name (shape
+    set dim x meta dim), and the training report.
     """
     if config is None:
         config = TrainConfig()
@@ -269,8 +221,8 @@ def train_latent(
     maps = [rng.uniform(-INIT_RANGE, INIT_RANGE, (s.dim, dim)) for s in sets]
 
     report = _run_adagrad(meta, maps, targets, gammas, config)
-    bundle = ProjectionBundle(maps={s.name: m for s, m in zip(sets, maps)})
-    return MetaEmbeddings(words=vocab, matrix=meta, method=LATENT), bundle, report
+    maps_by_set = {s.name: m for s, m in zip(sets, maps)}
+    return EmbeddingSet(name=LATENT, words=vocab, matrix=meta), maps_by_set, report
 
 
 def train_latent_union(
@@ -279,14 +231,15 @@ def train_latent_union(
     weights: dict[str, float],
     dim: int = DEFAULT_DIM,
     config: TrainConfig | None = None,
-) -> tuple[MetaEmbeddings, list[EmbeddingSet], ProjectionBundle, TrainReport]:
+) -> tuple[EmbeddingSet, list[EmbeddingSet], dict[str, np.ndarray], TrainReport]:
     """Learn meta-vectors over the vocabulary union.
 
     Words missing from a set get randomly initialized vectors in that
     set's space which are updated jointly with the meta-vectors; vectors
-    of known words are never modified.  Returns the meta-embeddings,
-    each input set extended to the union vocabulary, the learned maps,
-    and the training report.
+    of known words are never modified.  Returns the meta-embeddings
+    (named ``latent_union``), each input set extended to the union
+    vocabulary, the learned maps as in ``train_latent``, and the
+    training report.
     """
     if config is None:
         config = TrainConfig.union_defaults()
@@ -319,6 +272,6 @@ def train_latent_union(
         EmbeddingSet(name=s.name, words=vocab, matrix=t)
         for s, t in zip(sets, targets)
     ]
-    bundle = ProjectionBundle(maps={s.name: m for s, m in zip(sets, maps)})
-    meta_emb = MetaEmbeddings(words=vocab, matrix=meta, method=LATENT_UNION)
-    return meta_emb, extended, bundle, report
+    maps_by_set = {s.name: m for s, m in zip(sets, maps)}
+    meta_emb = EmbeddingSet(name=LATENT_UNION, words=vocab, matrix=meta)
+    return meta_emb, extended, maps_by_set, report

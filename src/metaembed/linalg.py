@@ -1,9 +1,9 @@
-"""Normalization, similarity, and truncated SVD kernels.
+"""Normalization and truncated SVD kernels.
 
 Dense matrices are plain float64 ``numpy.ndarray`` values throughout.
-The SVD switches from an exact dense decomposition to a seeded
-randomized range finder once the smaller matrix dimension exceeds
-``DENSE_SVD_LIMIT``; both paths are deterministic.
+The SVD takes the leading eigenpairs of the Gram matrix ``m.T @ m``,
+which is only (columns x columns), and recovers the left-singular
+vectors as ``m @ v / s``; one deterministic path serves every shape.
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Above this min(rows, cols), use the randomized path.
-DENSE_SVD_LIMIT = 2000
-_OVERSAMPLE = 10
-_POWER_ITERATIONS = 4
 
 
 @dataclass(frozen=True)
@@ -46,15 +41,6 @@ def normalize_columns(m: np.ndarray) -> np.ndarray:
     return m / np.where(norms == 0.0, 1.0, norms)
 
 
-def dot_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Inner product of two vectors; equals cosine for unit-norm inputs."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u, v))
-
-
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     # SVD sign is arbitrary; pin each column for determinism.
     lead = np.argmax(np.abs(u), axis=0)
@@ -63,27 +49,25 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u * signs
 
 
-def _randomized_svd(m: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(0)
-    k = min(d + _OVERSAMPLE, min(m.shape))
-    q, _ = np.linalg.qr(m @ rng.standard_normal((m.shape[1], k)))
-    for _ in range(_POWER_ITERATIONS):
-        q, _ = np.linalg.qr(m.T @ q)
-        q, _ = np.linalg.qr(m @ q)
-    u_small, s, _ = np.linalg.svd(q.T @ m, full_matrices=False)
-    return (q @ u_small)[:, :d], s[:d]
-
-
 def truncated_svd(m: np.ndarray, d: int) -> SvdResult:
-    """Leading ``d`` left-singular vectors and values of ``m``."""
+    """Leading ``d`` left-singular vectors and values of ``m``.
+
+    Raises ``ValueError`` when ``d`` exceeds the numerical rank of
+    ``m``: the trailing singular vectors would then be arbitrary.
+    """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    if not 1 <= d <= min(m.shape):
-        raise ValueError(f"d={d} out of range for a {m.shape[0]}x{m.shape[1]} matrix")
-    if min(m.shape) <= DENSE_SVD_LIMIT:
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        u, s = u[:, :d], s[:d]
-    else:
-        u, s = _randomized_svd(m, d)
+    rows, cols = m.shape
+    if not 1 <= d <= min(rows, cols):
+        raise ValueError(f"d={d} out of range for a {rows}x{cols} matrix")
+    eigvals, eigvecs = np.linalg.eigh(m.T @ m)
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    # Eigenvalues below this are rounding noise of the Gram product.
+    tol = eigvals[0] * max(rows, cols) * np.finfo(np.float64).eps
+    rank = int(np.count_nonzero(eigvals > tol))
+    if d > rank:
+        raise ValueError(f"d={d} exceeds the rank {rank} of the {rows}x{cols} matrix")
+    s = np.sqrt(eigvals[:d])
+    u = (m @ eigvecs[:, :d]) / s
     return SvdResult(u_d=_fix_signs(u), singular_values=s, d=d)

@@ -8,27 +8,27 @@ A word missing from one set can be filled three ways:
                    sets that know it, each mapped into the target space
                    by a learned linear projection
 
-Projections are trained per (source, target) pair on the two sets'
-shared words, minimizing ||M w_src - w_tgt||^2 plus an L2 penalty on M,
-with the same mini-batch AdaGrad loop as the meta-embedding trainers.
+Projections are fitted per (source, target) pair on the two sets' shared
+words as the ridge regression
+
+    min_M ||X M^T - Y||^2 + l2 * ||M||^2
+
+with X and Y the shared words' source and target rows.  The penalty
+counts once over all shared words.  The objective is convex, so the fit
+is its closed-form minimizer, from one least-squares solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .io import VALUE_FORMAT, EmbeddingSet
-from .optimizer import (
-    INIT_RANGE,
-    TrainConfig,
-    adagrad_update,
-    loss_plateaued,
-    minibatches,
-    seeded_rng,
-)
+from .io import EmbeddingSet
+from .optimizer import INIT_RANGE, TrainConfig, seeded_rng
+
+# Not called here; perfbench/child.py wraps these names in this module.
+from .optimizer import adagrad_update, loss_plateaued, minibatches  # noqa: F401
 from .vocab import VocabAlignment, align
 
 RANDOM = "random"
@@ -69,7 +69,13 @@ def train_projection(
     source: EmbeddingSet, target: EmbeddingSet, config: TrainConfig | None = None
 ) -> ProjectionMap:
     """Fit a linear map from ``source`` space to ``target`` space on the
-    words the two sets share."""
+    words the two sets share.
+
+    Only ``config.l2_weight`` is read.  Stacking ``sqrt(l2) * I`` under
+    the source rows (and zeros under the targets) turns the ridge
+    problem into one least-squares solve, without forming ``X^T X``.
+    ``train_loss`` is the per-word squared error at the solution.
+    """
     if config is None:
         config = TrainConfig.projection_defaults()
     shared = sorted(set(source.words) & set(target.words))
@@ -81,26 +87,13 @@ def train_projection(
     x = source.matrix[[source.index[w] for w in shared]]
     y = target.matrix[[target.index[w] for w in shared]]
 
-    m = seeded_rng(config.seed).uniform(
-        -INIT_RANGE, INIT_RANGE, (target.dim, source.dim)
-    )
-    accum = np.zeros_like(m)
-    n = len(shared)
-    losses: list[float] = []
-    for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        for batch in minibatches(n, config.batch_size, config.seed, epoch):
-            loss, grad = projection_loss_grad(m, x[batch], y[batch], config.l2_weight)
-            epoch_loss += loss
-            m, accum = adagrad_update(
-                m, grad, accum, config.learning_rate, config.adagrad_epsilon
-            )
-        losses.append(epoch_loss / n)
-        if loss_plateaued(losses):
-            break
+    a = np.vstack([x, np.sqrt(config.l2_weight) * np.eye(source.dim)])
+    b = np.vstack([y, np.zeros((source.dim, target.dim))])
+    m = np.linalg.lstsq(a, b, rcond=None)[0].T
+    loss, _ = projection_loss_grad(m, x, y, config.l2_weight)
     return ProjectionMap(
         source_set=source.name, target_set=target.name, matrix=m,
-        train_loss=losses[-1],
+        train_loss=loss / len(shared),
     )
 
 
@@ -161,8 +154,8 @@ def extend_all(
 ) -> list[EmbeddingSet]:
     """Extend every set to the vocabulary union.
 
-    For ``projected`` this trains all pairwise projections first; the
-    trainings are independent of each other.
+    For ``projected`` this fits all pairwise projections first; the
+    fits are independent of each other.
     """
     if config is None:
         config = TrainConfig.projection_defaults()
@@ -177,48 +170,3 @@ def extend_all(
             fill_oov(target, others, projections, alignment, strategy, config.seed)
         )
     return extended
-
-
-def save_projection(projection: ProjectionMap, path) -> None:
-    """Write a projection as a text matrix with a descriptive header."""
-    path = Path(path)
-    rows, cols = projection.matrix.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(
-            f"{projection.source_set} {projection.target_set} {cols} {rows}\n"
-        )
-        for row in projection.matrix:
-            f.write(" ".join(format(v, VALUE_FORMAT) for v in row) + "\n")
-
-
-def load_projection(path) -> ProjectionMap:
-    """Read a projection written by ``save_projection``."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty projection file")
-    header = lines[0].split()
-    if len(header) != 4:
-        raise ValueError(f"{path}: line 1: expected 'source target src_dim tgt_dim'")
-    source, target = header[0], header[1]
-    try:
-        src_dim, tgt_dim = int(header[2]), int(header[3])
-    except ValueError:
-        raise ValueError(f"{path}: line 1: non-integer dimensions") from None
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != src_dim:
-            raise ValueError(f"{path}: line {lineno}: expected {src_dim} values")
-        rows.append([float(x) for x in parts])
-    matrix = np.array(rows, dtype=np.float64)
-    if matrix.shape != (tgt_dim, src_dim):
-        raise ValueError(
-            f"{path}: header declares {tgt_dim}x{src_dim}, found {matrix.shape}"
-        )
-    return ProjectionMap(
-        source_set=source, target_set=target, matrix=matrix, train_loss=float("nan")
-    )

@@ -1,4 +1,4 @@
-"""Mini-batch AdaGrad machinery shared by all trainers.
+"""Mini-batch AdaGrad machinery shared by the meta-embedding trainers.
 
 Every trainer in this package draws its randomness from a single seed,
 shuffles word indices into batches once per epoch, and applies the same
@@ -24,9 +24,10 @@ INIT_RANGE = 0.05  # uniform [-INIT_RANGE, INIT_RANGE] parameter init
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    Defaults match the meta-embedding trainer; ``projection_defaults``
-    and ``union_defaults`` give the tuned values for the other two
-    training modes.
+    Defaults match the meta-embedding trainer; ``union_defaults`` gives
+    the tuned values for union training.  ``projection_defaults`` gives
+    the values for pairwise projections, whose closed-form fit reads
+    only ``l2_weight``.
     """
 
     batch_size: int = 200
@@ -34,7 +35,6 @@ class TrainConfig:
     l2_weight: float = 5e-4
     epochs: int = 100
     seed: int = 0
-    loss_weight_scalar: float = 8.0
     adagrad_epsilon: float = 1e-8
 
     def __post_init__(self):
@@ -46,10 +46,6 @@ class TrainConfig:
             raise ValueError(f"l2_weight must be >= 0, got {self.l2_weight}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.loss_weight_scalar <= 0:
-            raise ValueError(
-                f"loss_weight_scalar must be > 0, got {self.loss_weight_scalar}"
-            )
         if self.adagrad_epsilon <= 0:
             raise ValueError(
                 f"adagrad_epsilon must be > 0, got {self.adagrad_epsilon}"
@@ -57,7 +53,7 @@ class TrainConfig:
 
     @classmethod
     def projection_defaults(cls, **overrides) -> "TrainConfig":
-        """Defaults for pairwise cross-set projection training."""
+        """Defaults for pairwise cross-set projections."""
         params = dict(batch_size=200, learning_rate=0.01, l2_weight=5e-8)
         params.update(overrides)
         return cls(**params)

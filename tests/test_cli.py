@@ -202,6 +202,33 @@ class TestExtend:
             ext = load_embedding_set(out_dir / f"{name}.extended.txt")
             assert len(ext) == 7
 
+    def test_unused_training_options_warned(self, partial_files, capsys):
+        tmp_path, paths = partial_files
+        config = tmp_path / "extend.json"
+        config.write_text(json.dumps({"batch_size": 10, "l2_weight": 0.1}))
+        rc = main([
+            "extend", "--sets", *set_args(paths), "--config", str(config),
+            "--strategy", "projected", "--out", str(tmp_path / "warn"),
+            "--epochs", "5", "--lr", "0.1", "--seed", "1",
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "--epochs" in lines[0]
+        assert "--batch-size" in lines[0]
+        assert "--lr" in lines[0]
+        assert "--adagrad-epsilon" not in lines[0]
+        assert "--l2" not in lines[0]
+
+    def test_no_warning_without_training_options(self, partial_files, capsys):
+        tmp_path, paths = partial_files
+        rc = main([
+            "extend", "--sets", *set_args(paths), "--strategy", "projected",
+            "--out", str(tmp_path / "quiet"), "--l2", "0.1", "--seed", "1",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_average_strategy_rows_identical(self, partial_files):
         tmp_path, paths = partial_files
         out_dir = tmp_path / "avg"
@@ -368,7 +395,7 @@ class TestMakeTrainConfig:
 
         defaults = dict(
             seed=None, epochs=None, batch_size=None, learning_rate=None,
-            l2_weight=None, loss_weight_scalar=None, adagrad_epsilon=None,
+            l2_weight=None, adagrad_epsilon=None,
         )
         defaults.update(kwargs)
         return argparse.Namespace(**defaults)

@@ -12,7 +12,6 @@ from metaembed.ensemble import (
     LATENT,
     LATENT_UNION,
     SVD,
-    MetaEmbeddings,
     concatenate,
     prediction_loss_grads,
     svd_reduce,
@@ -44,7 +43,7 @@ class TestConcatenate:
         alignment = align(sets)
         meta = concatenate(sets, unit_weights(sets), alignment)
         assert meta.dim == 5
-        assert meta.method == CONCAT
+        assert meta.name == CONCAT
         for j, word in enumerate(meta.words):
             expected = np.concatenate([
                 normalize_rows(sets[0].matrix)[sets[0].index[word]],
@@ -183,7 +182,7 @@ class TestSvdReduce:
         np.testing.assert_allclose(s1, s2, atol=1e-8)
 
     def test_requires_concat_input(self):
-        meta = MetaEmbeddings(["a"], np.ones((1, 3)), LATENT)
+        meta = EmbeddingSet(LATENT, ["a"], np.ones((1, 3)))
         with pytest.raises(ValueError, match="expected a 'concat'"):
             svd_reduce(meta, 1)
 
@@ -252,19 +251,19 @@ class TestTrainLatent:
         cfg = TrainConfig(
             l2_weight=0.0, epochs=3000, batch_size=40, seed=0, learning_rate=0.05
         )
-        meta, bundle, report = train_latent([emb], alignment, {"only": 1.0}, 4, cfg)
+        meta, maps, report = train_latent([emb], alignment, {"only": 1.0}, 4, cfg)
         assert report.final_loss < 1e-6
-        assert bundle.maps["only"].shape == (4, 4)
+        assert maps["only"].shape == (4, 4)
 
     def test_recovers_shared_latent_structure(self):
         z, words, sets, _, _ = latent_linked_sets(n=200, scale=0.3)
         cfg = TrainConfig(l2_weight=0.0, epochs=3000, seed=3, learning_rate=0.05)
-        meta, bundle, report = train_latent(
+        meta, _, report = train_latent(
             sets, align(sets), {"one": 1.0, "two": 1.0}, 10, cfg
         )
         assert report.final_loss < 1e-3
         assert regression_r2(meta.matrix, z) > 0.99
-        assert meta.method == LATENT
+        assert meta.name == LATENT
 
     def test_loss_nonincreasing_up_to_tolerance(self):
         _, _, sets, _, _ = latent_linked_sets(n=120)

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaembed.linalg import (
-    _randomized_svd,
-    dot_similarity,
-    normalize_columns,
-    normalize_rows,
-    truncated_svd,
-)
+from metaembed.linalg import normalize_columns, normalize_rows, truncated_svd
 
 
 class TestNormalize:
@@ -50,25 +44,6 @@ class TestNormalize:
         m = np.random.default_rng(seed).normal(size=(rows, cols))
         once = normalize_rows(m)
         np.testing.assert_allclose(normalize_rows(once), once, atol=1e-12)
-
-
-class TestDotSimilarity:
-    def test_orthogonal(self):
-        assert dot_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_identical_unit(self):
-        assert dot_similarity([1.0, 0.0], [1.0, 0.0]) == 1.0
-
-    def test_matches_elementwise_sum_oracle(self):
-        rng = np.random.default_rng(2)
-        u = normalize_rows(rng.normal(size=(1, 30)))[0]
-        v = normalize_rows(rng.normal(size=(1, 30)))[0]
-        oracle = sum(a * b for a, b in zip(u, v))
-        assert abs(dot_similarity(u, v) - oracle) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            dot_similarity([1.0], [1.0, 2.0])
 
 
 class TestTruncatedSvd:
@@ -139,14 +114,15 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError, match="out of range"):
             truncated_svd(np.eye(3), 4)
 
-    def test_randomized_path_matches_dense(self):
-        # decaying spectrum so the range finder converges tightly
+    def test_wide_matrix_matches_dense_svd(self):
         rng = np.random.default_rng(9)
-        u, _ = np.linalg.qr(rng.normal(size=(300, 30)))
-        v, _ = np.linalg.qr(rng.normal(size=(80, 30)))
-        s = 10.0 * 0.1 ** np.arange(30)
-        m = (u * s) @ v.T
-        u_r, s_r = _randomized_svd(m, 8)
-        np.testing.assert_allclose(s_r, s[:8], rtol=1e-6)
-        gram = u_r.T @ u_r
-        np.testing.assert_allclose(gram, np.eye(8), atol=1e-8)
+        m = rng.normal(size=(12, 40))
+        result = truncated_svd(m, 12)
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        np.testing.assert_allclose(result.singular_values, s, rtol=1e-10)
+        # same columns up to sign
+        np.testing.assert_allclose(np.abs(result.u_d.T @ u), np.eye(12), atol=1e-8)
+
+    def test_d_above_rank_names_the_rank(self):
+        with pytest.raises(ValueError, match="rank 1"):
+            truncated_svd(np.ones((5, 3)), 2)

@@ -10,9 +10,7 @@ from metaembed.oov import (
     ProjectionMap,
     extend_all,
     fill_oov,
-    load_projection,
     projection_loss_grad,
-    save_projection,
     train_projection,
 )
 from metaembed.optimizer import TrainConfig
@@ -34,7 +32,7 @@ def linear_pair(seed=0, n=200, src_dim=4, tgt_dim=6, scale=0.4):
 class TestTrainProjection:
     def test_recovers_exact_linear_map(self):
         source, target, b = linear_pair()
-        cfg = TrainConfig.projection_defaults(l2_weight=0.0, epochs=20000, seed=1)
+        cfg = TrainConfig.projection_defaults(l2_weight=0.0)
         pm = train_projection(source, target, cfg)
         assert np.linalg.norm(pm.matrix - b) < 1e-3
         assert pm.train_loss < 1e-6
@@ -45,7 +43,7 @@ class TestTrainProjection:
         rng = np.random.default_rng(2)
         words = [f"w{i}" for i in range(100)]
         emb = EmbeddingSet("same", words, rng.normal(size=(100, 5)) * 0.5)
-        cfg = TrainConfig.projection_defaults(l2_weight=0.0, epochs=20000, seed=1)
+        cfg = TrainConfig.projection_defaults(l2_weight=0.0)
         pm = train_projection(emb, emb, cfg)
         assert pm.train_loss < 1e-6
         assert np.abs(pm.matrix - np.eye(5)).max() < 1e-2
@@ -63,6 +61,20 @@ class TestTrainProjection:
 
         _, grad = projection_loss_grad(m, x, y, l2)
         assert max_relative_error(central_difference(objective, m), grad) < 1e-4
+
+    def test_ridge_normal_equations(self):
+        rng = np.random.default_rng(10)
+        words = [f"w{i:02d}" for i in range(50)]
+        source = EmbeddingSet("src", words, rng.normal(size=(50, 4)))
+        target = EmbeddingSet("tgt", words, rng.normal(size=(50, 3)))
+        l2 = 7.5
+        pm = train_projection(source, target, TrainConfig(l2_weight=l2))
+        x, y = source.matrix, target.matrix
+        loss, grad = projection_loss_grad(pm.matrix, x, y, l2)
+        assert np.abs(grad).max() < 1e-10
+        assert pm.train_loss == pytest.approx(loss / 50)
+        oracle = np.linalg.solve(x.T @ x + l2 * np.eye(4), x.T @ y).T
+        np.testing.assert_allclose(pm.matrix, oracle, atol=1e-12)
 
     def test_too_few_shared_words(self):
         rng = np.random.default_rng(4)
@@ -211,32 +223,8 @@ class TestExtendAll:
         # second set is an exact linear image, minus some words
         s1 = EmbeddingSet("s1", words, base)
         s2 = EmbeddingSet("s2", words[:30], (base @ b.T)[:30])
-        cfg = TrainConfig.projection_defaults(l2_weight=0.0, epochs=8000, seed=2)
+        cfg = TrainConfig.projection_defaults(l2_weight=0.0)
         extended = extend_all([s1, s2], cfg, PROJECTED)
         ext2 = next(e for e in extended if e.name == "s2")
         for i, w in enumerate(words[30:], start=30):
             np.testing.assert_allclose(ext2.row(w), base[i] @ b.T, atol=1e-2)
-
-
-class TestProjectionSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        pm = ProjectionMap("alpha", "beta", rng.normal(size=(3, 5)), 0.123)
-        path = tmp_path / "proj.txt"
-        save_projection(pm, path)
-        back = load_projection(path)
-        assert back.source_set == "alpha"
-        assert back.target_set == "beta"
-        np.testing.assert_allclose(back.matrix, pm.matrix, atol=1e-8)
-
-    def test_header_line(self, tmp_path):
-        pm = ProjectionMap("a", "b", np.zeros((2, 4)), 0.0)
-        path = tmp_path / "proj.txt"
-        save_projection(pm, path)
-        assert path.read_text().splitlines()[0] == "a b 4 2"
-
-    def test_bad_shape_detected(self, tmp_path):
-        path = tmp_path / "proj.txt"
-        path.write_text("a b 2 2\n1 2\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="header declares"):
-            load_projection(path)

@@ -104,7 +104,6 @@ class TestTrainConfig:
     def test_defaults_match_tuned_values(self):
         cfg = TrainConfig()
         assert (cfg.batch_size, cfg.learning_rate, cfg.l2_weight) == (200, 0.005, 5e-4)
-        assert cfg.loss_weight_scalar == 8.0
 
         proj = TrainConfig.projection_defaults()
         assert (proj.batch_size, proj.learning_rate, proj.l2_weight) == (200, 0.01, 5e-8)
