@@ -22,7 +22,7 @@ from .io import EmbeddingSet, load_embedding_set, save_embedding_set
 from .linalg import SvdResult, normalize_columns, normalize_rows, truncated_svd
 from .oov import ProjectionMap, extend_all, fill_oov, train_projection
 from .optimizer import TrainConfig, TrainReport
-from .vocab import VocabAlignment, align, oov_words
+from .vocab import VocabAlignment, align
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "load_similarity_dataset",
     "normalize_columns",
     "normalize_rows",
-    "oov_words",
     "save_embedding_set",
     "spearman",
     "svd_reduce",

@@ -51,16 +51,6 @@ def _set_weight(weights: dict[str, float], name: str) -> float:
     return w
 
 
-def _vocab_rows(name: str, index: dict[str, int], vocab: list[str]) -> list[int]:
-    missing = [w for w in vocab if w not in index]
-    if missing:
-        raise ValueError(
-            f"set {name!r} is missing {len(missing)} aligned word(s), "
-            f"e.g. {missing[0]!r}"
-        )
-    return [index[w] for w in vocab]
-
-
 def concatenate(
     sets: list[EmbeddingSet],
     weights: dict[str, float],
@@ -82,12 +72,13 @@ def concatenate(
     vocab = alignment.intersection
     if not vocab:
         raise ValueError("empty shared vocabulary")
+    shared = alignment.presence.all(axis=0)
     blocks = []
     for s in sets:
         matrix = s.matrix
         if s.name in column_normalize:
             matrix = normalize_columns(matrix)
-        rows = normalize_rows(matrix[_vocab_rows(s.name, s.index, vocab)])
+        rows = normalize_rows(matrix[alignment.rows_for(s)[shared]])
         blocks.append(_set_weight(weights, s.name) * rows)
     return EmbeddingSet(name=CONCAT, words=vocab, matrix=np.hstack(blocks))
 
@@ -138,59 +129,69 @@ def prediction_loss_grads(
     return data_loss, grad_meta, grad_maps, grad_targets
 
 
-def _run_adagrad(
-    meta: np.ndarray,
-    maps: list[np.ndarray],
-    targets: list[np.ndarray],
-    gammas: list[float],
-    config: TrainConfig,
-    trainable: list[np.ndarray] | None = None,
-) -> TrainReport:
-    """Optimize meta, maps, and any trainable target rows in place."""
-    n = meta.shape[0]
+def _train(
+    sets: list[EmbeddingSet], alignment: VocabAlignment, weights: dict[str, float],
+    dim: int, config: TrainConfig, union: bool,
+) -> tuple[list[str], np.ndarray, list[np.ndarray], dict[str, np.ndarray], TrainReport]:
+    """Minimize the shared objective over the union or the intersection.
+
+    Over the union each set's missing rows start random and are trained
+    with the meta-vectors and maps; over the intersection none is
+    missing.  Raises ``ValueError`` at the first epoch whose loss is not
+    finite.  Returns the words, meta-vectors, targets, maps by set name
+    and the report.
+    """
+    gammas = [_set_weight(weights, s.name) for s in sets]
+    vocab = alignment.union if union else alignment.intersection
+    columns = slice(None) if union else alignment.presence.all(axis=0)
+    rng = seeded_rng(config.seed)
+    meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(vocab), dim))
+    maps = [rng.uniform(-INIT_RANGE, INIT_RANGE, (s.dim, dim)) for s in sets]
+    targets, trainable = [], []
+    for s in sets:
+        rows = alignment.rows_for(s)[columns]
+        missing = rows < 0
+        t = s.matrix[rows]  # rows of -1 are placeholders, drawn next
+        t[missing] = rng.uniform(-INIT_RANGE, INIT_RANGE, (int(missing.sum()), s.dim))
+        targets.append(t)
+        trainable.append(missing)
+
+    lr, eps, n = config.learning_rate, config.adagrad_epsilon, len(vocab)
     meta_accum = np.zeros_like(meta)
     map_accums = [np.zeros_like(m) for m in maps]
-    target_accums = None
-    if trainable is not None:
-        target_accums = [np.zeros_like(t) for t in targets]
-
+    target_accums = [np.zeros_like(t) for t in targets] if union else None
     report = TrainReport()
     for epoch in range(config.epochs):
         epoch_loss = 0.0
         for batch in minibatches(n, config.batch_size, config.seed, epoch):
-            batch_targets = [t[batch] for t in targets]
-            batch_masks = None
-            if trainable is not None:
-                batch_masks = [mask[batch] for mask in trainable]
+            masks = [m[batch] for m in trainable] if union else None
             loss, g_meta, g_maps, g_targets = prediction_loss_grads(
-                meta[batch], maps, batch_targets, gammas, config.l2_weight, batch_masks
+                meta[batch], maps, [t[batch] for t in targets], gammas,
+                config.l2_weight, masks,
             )
             epoch_loss += loss
             meta[batch], meta_accum[batch] = adagrad_update(
-                meta[batch], g_meta, meta_accum[batch],
-                config.learning_rate, config.adagrad_epsilon,
+                meta[batch], g_meta, meta_accum[batch], lr, eps
             )
             for i in range(len(maps)):
                 maps[i], map_accums[i] = adagrad_update(
-                    maps[i], g_maps[i], map_accums[i],
-                    config.learning_rate, config.adagrad_epsilon,
+                    maps[i], g_maps[i], map_accums[i], lr, eps
                 )
-            if trainable is not None:
-                for i in range(len(targets)):
-                    rows = batch[batch_masks[i]]
-                    if rows.size == 0:
-                        continue
-                    grads = g_targets[i][batch_masks[i]]
+            for i, mask in enumerate(masks or []):
+                rows = batch[mask]
+                if rows.size:
                     targets[i][rows], target_accums[i][rows] = adagrad_update(
-                        targets[i][rows], grads, target_accums[i][rows],
-                        config.learning_rate, config.adagrad_epsilon,
+                        targets[i][rows], g_targets[i][mask], target_accums[i][rows],
+                        lr, eps,
                     )
             report.steps += 1
         report.epoch_losses.append(epoch_loss / n)
+        if not np.isfinite(epoch_loss):
+            raise ValueError(f"training diverged: epoch {epoch + 1} loss is {epoch_loss}")
         if loss_plateaued(report.epoch_losses):
             break
     report.final_loss = report.epoch_losses[-1]
-    return report
+    return vocab, meta, targets, {s.name: m for s, m in zip(sets, maps)}, report
 
 
 def train_latent(
@@ -210,19 +211,10 @@ def train_latent(
     """
     if config is None:
         config = TrainConfig()
-    vocab = alignment.intersection
-    if not vocab:
+    if not alignment.intersection:
         raise ValueError("empty shared vocabulary")
-    gammas = [_set_weight(weights, s.name) for s in sets]
-    targets = [s.matrix[_vocab_rows(s.name, s.index, vocab)] for s in sets]
-
-    rng = seeded_rng(config.seed)
-    meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(vocab), dim))
-    maps = [rng.uniform(-INIT_RANGE, INIT_RANGE, (s.dim, dim)) for s in sets]
-
-    report = _run_adagrad(meta, maps, targets, gammas, config)
-    maps_by_set = {s.name: m for s, m in zip(sets, maps)}
-    return EmbeddingSet(name=LATENT, words=vocab, matrix=meta), maps_by_set, report
+    vocab, meta, _, maps, report = _train(sets, alignment, weights, dim, config, False)
+    return EmbeddingSet(name=LATENT, words=vocab, matrix=meta), maps, report
 
 
 def train_latent_union(
@@ -245,33 +237,6 @@ def train_latent_union(
         config = TrainConfig.union_defaults()
     if len(sets) < 2:
         raise ValueError(f"need at least 2 embedding sets, got {len(sets)}")
-    vocab = alignment.union
-    if not vocab:
-        raise ValueError("empty vocabulary union")
-    gammas = [_set_weight(weights, s.name) for s in sets]
-
-    rng = seeded_rng(config.seed)
-    meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(vocab), dim))
-    maps = [rng.uniform(-INIT_RANGE, INIT_RANGE, (s.dim, dim)) for s in sets]
-
-    targets = []
-    trainable = []
-    for s in sets:
-        present = alignment.presence[alignment.set_position(s.name)]
-        t = np.zeros((len(vocab), s.dim))
-        known = [s.index[w] for w, p in zip(vocab, present) if p]
-        t[present] = s.matrix[known]
-        n_missing = int((~present).sum())
-        if n_missing:
-            t[~present] = rng.uniform(-INIT_RANGE, INIT_RANGE, (n_missing, s.dim))
-        targets.append(t)
-        trainable.append(~present)
-
-    report = _run_adagrad(meta, maps, targets, gammas, config, trainable)
-    extended = [
-        EmbeddingSet(name=s.name, words=vocab, matrix=t)
-        for s, t in zip(sets, targets)
-    ]
-    maps_by_set = {s.name: m for s, m in zip(sets, maps)}
-    meta_emb = EmbeddingSet(name=LATENT_UNION, words=vocab, matrix=meta)
-    return meta_emb, extended, maps_by_set, report
+    vocab, meta, targets, maps, report = _train(sets, alignment, weights, dim, config, True)
+    extended = [EmbeddingSet(s.name, vocab, t) for s, t in zip(sets, targets)]
+    return EmbeddingSet(LATENT_UNION, vocab, meta), extended, maps, report

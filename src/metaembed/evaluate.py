@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .io import EmbeddingSet
 from .linalg import normalize_rows
 
 SEMANTIC = "semantic"
@@ -132,13 +133,13 @@ def spearman(xs, ys) -> float:
     return min(1.0, max(-1.0, rho))
 
 
-def eval_similarity(emb, dataset: SimilarityDataset) -> EvalResult:
+def eval_similarity(emb: EmbeddingSet, dataset: SimilarityDataset) -> EvalResult:
     """Score ``emb`` against a similarity dataset.
 
-    ``emb`` is anything with ``words`` and ``matrix`` attributes.  Pairs
-    with either word missing are skipped and counted as OOV.
+    Words are looked up through the set's cached ``index``.  Pairs with
+    either word missing are skipped and counted as OOV.
     """
-    index = {w: i for i, w in enumerate(emb.words)}
+    index = emb.index
     normed = normalize_rows(emb.matrix)
     model, gold = [], []
     oov = 0
@@ -171,10 +172,10 @@ def _best_excluding(
     return min(words[j] for j in candidates)
 
 
-def answer_analogy(emb, a: str, b: str, c: str) -> str:
-    """Word whose normalized vector is closest to b - a + c, never one
-    of the three query words."""
-    index = {w: i for i, w in enumerate(emb.words)}
+def answer_analogy(emb: EmbeddingSet, a: str, b: str, c: str) -> str:
+    """Word of ``emb`` whose normalized vector is closest to b - a + c,
+    never one of the three query words."""
+    index = emb.index
     missing = [w for w in (a, b, c) if w not in index]
     if missing:
         raise ValueError(f"query words not in vocabulary: {missing}")
@@ -184,16 +185,16 @@ def answer_analogy(emb, a: str, b: str, c: str) -> str:
     return _best_excluding(normed @ query, emb.words, (ia, ib, ic))
 
 
-def eval_analogy(emb, dataset: AnalogyDataset) -> dict[str, EvalResult]:
-    """Accuracy per category plus the aggregate.
+def eval_analogy(emb: EmbeddingSet, dataset: AnalogyDataset) -> dict[str, EvalResult]:
+    """Accuracy of ``emb`` per category plus the aggregate.
 
     A question counts as OOV (and is skipped) when any of its four
     words is missing.  Returns results keyed by "semantic",
     "syntactic", and "total".
     """
-    index = {w: i for i, w in enumerate(emb.words)}
+    index = emb.index
     normed = normalize_rows(emb.matrix)
-    words = list(emb.words)
+    words = emb.words
 
     evaluable = []  # (ia, ib, ic, d word, category)
     counts = {SEMANTIC: [0, 0, 0], SYNTACTIC: [0, 0, 0]}  # correct, evaluated, oov

@@ -174,13 +174,17 @@ def load_embedding_set(path, fmt: str = AUTO, name: str | None = None) -> Embedd
 
 
 def save_embedding_set(emb: EmbeddingSet, path, fmt: str = PLAIN) -> None:
-    """Write ``emb`` to ``path`` in the given text format."""
+    """Write ``emb`` to ``path`` in the given text format; a non-finite
+    value raises ``ValueError`` naming its word before the file opens."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    bad = np.flatnonzero(~np.isfinite(emb.matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value for word {emb.words[bad[0]]!r}")
     path = Path(path)
+    row_format = " ".join(["%" + VALUE_FORMAT] * emb.dim)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if fmt == HEADER:
             f.write(f"{len(emb.words)} {emb.dim}\n")
         for word, row in zip(emb.words, emb.matrix):
-            values = " ".join(format(v, VALUE_FORMAT) for v in row)
-            f.write(f"{word} {values}\n")
+            f.write(f"{word} {row_format % tuple(row.tolist())}\n")

@@ -50,9 +50,6 @@ class ProjectionMap:
     matrix: np.ndarray
     train_loss: float
 
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        return self.matrix @ vector
-
 
 def projection_loss_grad(
     m: np.ndarray, source_rows: np.ndarray, target_rows: np.ndarray, l2_weight: float
@@ -105,12 +102,14 @@ def fill_oov(
     strategy: str,
     seed: int = 0,
 ) -> EmbeddingSet:
-    """Extend ``target`` to the union vocabulary.
+    """Extend ``target`` to the union vocabulary of ``alignment``.
 
-    Known words keep their vectors bit for bit.  For ``projected``, a
-    missing word is filled with the mean of its projections from exactly
-    the sets that contain it, so a projection into the target space is
-    required for every other set.
+    Known words keep their vectors bit for bit; rows are gathered
+    through ``alignment.rows_for``, so every set passed must be one
+    that was aligned.  For ``projected``, a missing word is filled with
+    the mean of its projections from exactly the sets that contain it,
+    so a projection into the target space is required for every other
+    set; each source's rows are projected with one matrix product.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -125,25 +124,29 @@ def fill_oov(
             )
 
     union = alignment.union
+    rows = alignment.rows_for(target)
+    known = rows >= 0
     out = np.empty((len(union), target.dim))
-    average = target.matrix.mean(axis=0)
-    rng = seeded_rng(seed)
-    for j, word in enumerate(union):
-        if word in target.index:
-            out[j] = target.matrix[target.index[word]]
-        elif strategy == RANDOM:
-            out[j] = rng.uniform(-INIT_RANGE, INIT_RANGE, target.dim)
-        elif strategy == AVERAGE:
-            out[j] = average
-        else:
-            projected = [
-                by_source[o.name].apply(o.row(word)) for o in others if word in o.index
-            ]
-            if not projected:
-                raise ValueError(
-                    f"{word!r} is in the union but known to no source set"
-                )
-            out[j] = np.mean(projected, axis=0)
+    out[known] = target.matrix[rows[known]]
+    gaps = np.flatnonzero(~known)
+    if strategy == RANDOM:
+        out[gaps] = seeded_rng(seed).uniform(
+            -INIT_RANGE, INIT_RANGE, (len(gaps), target.dim)
+        )
+    elif strategy == AVERAGE:
+        out[gaps] = target.matrix.mean(axis=0)
+    else:
+        total = np.zeros((len(gaps), target.dim))
+        count = np.zeros(len(gaps))
+        for o in others:
+            source_rows = alignment.rows_for(o)[gaps]
+            has = source_rows >= 0
+            total[has] += o.matrix[source_rows[has]] @ by_source[o.name].matrix.T
+            count += has
+        if (count == 0).any():
+            word = union[gaps[np.flatnonzero(count == 0)[0]]]
+            raise ValueError(f"{word!r} is in the union but known to no source set")
+        out[gaps] = total / count[:, None]
     return EmbeddingSet(name=target.name, words=union, matrix=out)
 
 

@@ -1,14 +1,17 @@
 """Vocabulary alignment across embedding sets.
 
-Computes the shared (intersection) and combined (union) vocabularies of
-two or more embedding sets, plus per-set presence masks and row lookups.
-A word counts as out-of-vocabulary (OOV) for a set when it is missing
-from that set but covered by at least one of the others.
+``align`` decides, once, which row of each set holds each word of the
+union vocabulary.  Every construction that gathers rows across sets
+(concatenation, both trainers, OOV filling) reads that one table
+instead of looking words up itself.  A word counts as out-of-vocabulary
+(OOV) for a set when it is missing from that set but covered by at
+least one of the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,22 +22,47 @@ from .io import EmbeddingSet
 class VocabAlignment:
     """Intersection/union bookkeeping for a fixed list of sets.
 
-    ``presence[i, j]`` is True when set ``set_names[i]`` contains
-    ``union[j]``.  Both word lists are sorted lexicographically so that
-    downstream training batches and outputs are deterministic.
+    ``rows[i, j]`` is the row of ``union[j]`` in set ``set_names[i]``,
+    or -1 when that set lacks the word.  Both word lists are sorted
+    lexicographically so that downstream training batches and outputs
+    are deterministic.
     """
 
     set_names: list[str]
     intersection: list[str]
     union: list[str]
-    presence: np.ndarray
-    index_maps: dict[str, dict[str, int]]
+    rows: np.ndarray
 
-    def set_position(self, set_name: str) -> int:
+    @property
+    def presence(self) -> np.ndarray:
+        """``presence[i, j]`` is True when set ``i`` contains ``union[j]``."""
+        return self.rows >= 0
+
+    @cached_property
+    def _union_array(self) -> np.ndarray:
+        return np.array(self.union, dtype=object)
+
+    def rows_for(self, emb: EmbeddingSet) -> np.ndarray:
+        """``emb``'s row of every union word (-1 where absent).
+
+        Raises ``KeyError`` for a set name that was not aligned, and
+        ``ValueError`` unless ``emb`` holds exactly the aligned words at
+        the recorded rows.
+        """
         try:
-            return self.set_names.index(set_name)
+            rows = self.rows[self.set_names.index(emb.name)]
         except ValueError:
-            raise KeyError(f"unknown set name {set_name!r}") from None
+            raise KeyError(f"unknown set name {emb.name!r}") from None
+        present = rows >= 0
+        known = rows[present]
+        if len(emb) != known.size or (
+            np.array(emb.words, dtype=object)[known] != self._union_array[present]
+        ).any():
+            raise ValueError(
+                f"set {emb.name!r} does not match its alignment: "
+                f"aligned words missing, added or moved"
+            )
+        return rows
 
 
 def align(sets: list[EmbeddingSet]) -> VocabAlignment:
@@ -45,25 +73,10 @@ def align(sets: list[EmbeddingSet]) -> VocabAlignment:
     if len(set(names)) != len(names):
         raise ValueError(f"embedding set names must be unique, got {names}")
 
-    vocabs = [set(s.words) for s in sets]
-    intersection = sorted(set.intersection(*vocabs))
-    union = sorted(set.union(*vocabs))
-
-    presence = np.zeros((len(sets), len(union)), dtype=bool)
-    for i, vocab in enumerate(vocabs):
-        presence[i] = [w in vocab for w in union]
-
-    return VocabAlignment(
-        set_names=names,
-        intersection=intersection,
-        union=union,
-        presence=presence,
-        index_maps={s.name: dict(s.index) for s in sets},
-    )
-
-
-def oov_words(alignment: VocabAlignment, set_name: str) -> list[str]:
-    """Words of the union that the named set does not cover."""
-    i = alignment.set_position(set_name)
-    mask = alignment.presence[i]
-    return [w for w, present in zip(alignment.union, mask) if not present]
+    union = sorted(set().union(*(s.index for s in sets)))
+    rows = np.empty((len(sets), len(union)), dtype=np.intp)
+    for i, s in enumerate(sets):
+        rows[i] = [s.index.get(w, -1) for w in union]
+    shared = (rows >= 0).all(axis=0)
+    intersection = [w for w, keep in zip(union, shared) if keep]
+    return VocabAlignment(names, intersection, union, rows)

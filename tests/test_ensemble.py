@@ -108,6 +108,14 @@ class TestConcatenate:
         with pytest.raises(ValueError, match="missing"):
             concatenate([truncated, full[1]], unit_weights(full), alignment)
 
+    def test_reordered_set_detected(self):
+        rng = np.random.default_rng(6)
+        full = make_sets(rng, ["a", "b", "c"], [2, 2])
+        alignment = align(full)
+        reordered = EmbeddingSet("s0", ["c", "a", "b"], full[0].matrix[[2, 0, 1]])
+        with pytest.raises(ValueError, match="'s0' does not match"):
+            concatenate([reordered, full[1]], unit_weights(full), alignment)
+
     def test_common_weight_scaling_keeps_neighbor_ranking(self):
         rng = np.random.default_rng(7)
         vocab = [f"w{i}" for i in range(15)]
@@ -245,8 +253,7 @@ class TestTrainLatent:
             set_names=["only"],
             intersection=vocab,
             union=vocab,
-            presence=np.ones((1, 40), dtype=bool),
-            index_maps={"only": dict(emb.index)},
+            rows=np.arange(40)[None, :],
         )
         cfg = TrainConfig(
             l2_weight=0.0, epochs=3000, batch_size=40, seed=0, learning_rate=0.05
@@ -290,6 +297,38 @@ class TestTrainLatent:
         ]
         with pytest.raises(ValueError, match="empty shared vocabulary"):
             train_latent(sets, align(sets), {"a": 1.0, "b": 1.0}, 2, TrainConfig(epochs=1))
+
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-2])
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_eckart_young_lower_bound(self, dim, l2):
+        # sum_i gamma_i ||X M_i^T - T_i||^2 is a rank-dim fit of the
+        # sqrt(gamma)-weighted target concatenation, so it can never fall
+        # below that matrix's trailing squared singular values
+        _, _, sets, _, _ = latent_linked_sets(
+            seed=4, n=200, latent_dim=8, dims=(8, 12), scale=1.0
+        )
+        weights = {"one": 1.0, "two": 4.0}
+        cfg = TrainConfig(l2_weight=l2, epochs=2000, learning_rate=0.05, seed=1)
+        meta, maps, _ = train_latent(sets, align(sets), weights, dim, cfg)
+        loss = sum(
+            weights[s.name] * np.sum((meta.matrix @ maps[s.name].T - s.matrix) ** 2)
+            for s in sets
+        )
+        stacked = np.hstack([np.sqrt(weights[s.name]) * s.matrix for s in sets])
+        bound = float(np.sum(np.linalg.svd(stacked, compute_uv=False)[dim:] ** 2))
+        assert bound > 0
+        assert loss >= bound * (1 - 1e-9)
+        if l2 == 0.0:
+            assert loss <= 1.1 * bound
+
+    def test_non_finite_loss_fails_at_first_epoch(self):
+        _, _, sets, _, _ = latent_linked_sets(n=60)
+        huge = [EmbeddingSet(s.name, s.words, s.matrix * 1e200) for s in sets]
+        cfg = TrainConfig(epochs=400, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="epoch 1 loss is (inf|nan)"):
+                train_latent(huge, align(huge), {"one": 1.0, "two": 1.0}, 4, cfg)
 
 
 class TestTrainLatentUnion:
@@ -342,7 +381,7 @@ class TestTrainLatentUnion:
         emb = EmbeddingSet("a", ["x"], rng.normal(size=(1, 2)))
         alignment = VocabAlignment(
             set_names=["a"], intersection=["x"], union=["x"],
-            presence=np.ones((1, 1), dtype=bool), index_maps={"a": {"x": 0}},
+            rows=np.zeros((1, 1), dtype=np.intp),
         )
         with pytest.raises(ValueError, match="at least 2"):
             train_latent_union([emb], alignment, {"a": 1.0}, 2, TrainConfig(epochs=1))

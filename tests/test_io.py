@@ -136,6 +136,34 @@ class TestSave:
         assert back.words == emb.words
         assert np.abs(back.matrix - emb.matrix).max() < 1e-8
 
+    def test_edge_values_match_per_value_format(self, tmp_path):
+        # byte-identity oracle: one format() call per value, as written
+        # before rows were formatted with one %-string
+        rng = np.random.default_rng(1)
+        matrix = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-30, 30, (40, 6))
+        edges = [-0.0, 5e-324, -5e-324, 1e-300, np.finfo(float).max,
+                 -np.finfo(float).max, 0.1, 1.0 / 3.0]
+        matrix[: len(edges), 0] = edges
+        emb = EmbeddingSet("edge", [f"w{i}" for i in range(40)], matrix)
+        path = tmp_path / "edge.txt"
+        save_embedding_set(emb, path)
+        oracle = "".join(
+            f"{w} " + " ".join(format(v, ".9g") for v in row) + "\n"
+            for w, row in zip(emb.words, emb.matrix)
+        )
+        assert path.read_bytes() == oracle.encode("utf-8")
+        back = load_embedding_set(path)
+        assert np.signbit(back.matrix[0, 0])
+        np.testing.assert_allclose(back.matrix, matrix, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_before_writing(self, tmp_path, bad):
+        emb = EmbeddingSet("bad", ["a", "b"], [[1.0, 2.0], [bad, 4.0]])
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match="non-finite value for word 'b'"):
+            save_embedding_set(emb, path)
+        assert not path.exists()
+
 
 class TestEmbeddingSet:
     def test_rejects_duplicates(self):

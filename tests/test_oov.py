@@ -13,7 +13,7 @@ from metaembed.oov import (
     projection_loss_grad,
     train_projection,
 )
-from metaembed.optimizer import TrainConfig
+from metaembed.optimizer import INIT_RANGE, TrainConfig, seeded_rng
 from metaembed.vocab import align
 
 
@@ -177,6 +177,64 @@ class TestFillOov:
         a, b = two_sets_with_extras()
         with pytest.raises(ValueError, match="unknown strategy"):
             fill_oov(a, [b], [], align([a, b]), "bogus", seed=0)
+
+
+def reference_fill(target, others, projections, union, strategy, seed):
+    """Per-word oracle: each union word looked up in every set by name."""
+    by_source = {p.source_set: p for p in projections if p.target_set == target.name}
+    rng = seeded_rng(seed)
+    out = np.empty((len(union), target.dim))
+    for j, word in enumerate(union):
+        if word in target:
+            out[j] = target.row(word)
+        elif strategy == RANDOM:
+            out[j] = rng.uniform(-INIT_RANGE, INIT_RANGE, target.dim)
+        elif strategy == AVERAGE:
+            out[j] = target.matrix.mean(axis=0)
+        else:
+            out[j] = np.mean(
+                [by_source[o.name].matrix @ o.row(word) for o in others if word in o],
+                axis=0,
+            )
+    return out
+
+
+class TestVectorizedFill:
+    def four_sets(self):
+        rng = np.random.default_rng(21)
+        pool = [f"t{i:03d}" for i in range(120)]
+        sets = []
+        for i, dim in enumerate((3, 5, 4, 6)):
+            words = list(rng.choice(pool, size=int(rng.integers(50, 90)), replace=False))
+            sets.append(EmbeddingSet(f"s{i}", words, rng.normal(size=(len(words), dim))))
+        projections = [
+            ProjectionMap(o.name, t.name, rng.normal(size=(t.dim, o.dim)), 0.0)
+            for t in sets for o in sets if o is not t
+        ]
+        return sets, projections
+
+    @pytest.mark.parametrize("strategy", [RANDOM, AVERAGE, PROJECTED])
+    def test_matches_per_word_reference(self, strategy):
+        sets, projections = self.four_sets()
+        alignment = align(sets)
+        for target in sets:
+            others = [s for s in sets if s is not target]
+            filled = fill_oov(target, others, projections, alignment, strategy, seed=3)
+            expected = reference_fill(
+                target, others, projections, alignment.union, strategy, seed=3
+            )
+            assert filled.words == alignment.union
+            if strategy == PROJECTED:
+                np.testing.assert_allclose(filled.matrix, expected, rtol=1e-12, atol=0)
+            else:
+                assert filled.matrix.tobytes() == expected.tobytes()
+
+    def test_reordered_source_rejected(self):
+        sets, projections = self.four_sets()
+        alignment = align(sets)
+        moved = EmbeddingSet("s1", sets[1].words[::-1], sets[1].matrix[::-1])
+        with pytest.raises(ValueError, match="'s1' does not match"):
+            fill_oov(sets[0], [moved] + sets[2:], projections, alignment, PROJECTED)
 
 
 class TestExtendAll:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metaembed.io import EmbeddingSet
-from metaembed.vocab import align, oov_words
+from metaembed.vocab import align
 
 
 def make_set(name, words, dim=2, seed=0):
@@ -80,24 +80,41 @@ class TestAlign:
         assert len(alignment.union) >= max(sizes)
 
 
+def missing_words(alignment, set_name):
+    """Union words the named set lacks, read off the row table."""
+    rows = alignment.rows[alignment.set_names.index(set_name)]
+    return [w for w, r in zip(alignment.union, rows) if r < 0]
+
+
 class TestOovWords:
     def test_tiny_example(self):
         alignment = align([make_set("a", ["a", "b"]), make_set("b", ["b", "c"])])
-        assert oov_words(alignment, "a") == ["c"]
-        assert oov_words(alignment, "b") == ["a"]
+        assert missing_words(alignment, "a") == ["c"]
+        assert missing_words(alignment, "b") == ["a"]
 
     def test_full_coverage_is_empty(self):
         alignment = align([make_set("a", ["a", "b", "c"]), make_set("b", ["b"])])
-        assert oov_words(alignment, "a") == []
+        assert missing_words(alignment, "a") == []
 
     def test_matches_set_difference_oracle(self):
+        # rows[i, j] is union[j]'s row in set i, and -1 exactly where
+        # the set-difference oracle says the word is absent
         rng = np.random.default_rng(8)
         vocabs = random_vocabularies(rng, count=4)
         sets = [make_set(f"s{i}", v, seed=i) for i, v in enumerate(vocabs)]
         alignment = align(sets)
+        assert alignment.rows.shape == (len(sets), len(alignment.union))
         union = set(alignment.union)
-        for s, vocab in zip(sets, vocabs):
-            assert oov_words(alignment, s.name) == sorted(union - set(vocab))
+        for i, (s, vocab) in enumerate(zip(sets, vocabs)):
+            absent = union - set(vocab)
+            for j, w in enumerate(alignment.union):
+                r = alignment.rows[i, j]
+                if w in absent:
+                    assert r == -1
+                else:
+                    assert r >= 0 and s.words[r] == w
+            np.testing.assert_array_equal(alignment.rows_for(s), alignment.rows[i])
+            assert missing_words(alignment, s.name) == sorted(absent)
 
     def test_partition_property(self):
         rng = np.random.default_rng(9)
@@ -105,11 +122,33 @@ class TestOovWords:
         sets = [make_set(f"s{i}", v, seed=i) for i, v in enumerate(vocabs)]
         alignment = align(sets)
         for s, vocab in zip(sets, vocabs):
-            oov = set(oov_words(alignment, s.name))
+            oov = set(missing_words(alignment, s.name))
             assert oov | set(vocab) == set(alignment.union)
             assert oov & set(vocab) == set()
 
     def test_unknown_set_name(self):
         alignment = align([make_set("a", ["a"]), make_set("b", ["b"])])
         with pytest.raises(KeyError, match="unknown set"):
-            oov_words(alignment, "zzz")
+            alignment.rows_for(make_set("zzz", ["a"]))
+
+
+class TestRowsGuard:
+    def test_reordered_set_rejected(self):
+        a = make_set("a", ["p", "q", "r"])
+        b = make_set("b", ["q", "s"])
+        alignment = align([a, b])
+        reordered = EmbeddingSet("a", ["r", "p", "q"], a.matrix[[2, 0, 1]])
+        with pytest.raises(ValueError, match="'a' does not match"):
+            alignment.rows_for(reordered)
+
+    def test_added_word_rejected(self):
+        a = make_set("a", ["p", "q"])
+        alignment = align([a, make_set("b", ["q"])])
+        with pytest.raises(ValueError, match="'a' does not match"):
+            alignment.rows_for(make_set("a", ["p", "q", "x"]))
+
+    def test_equal_copy_accepted(self):
+        a = make_set("a", ["p", "q"])
+        alignment = align([a, make_set("b", ["q"])])
+        copy = EmbeddingSet("a", list(a.words), a.matrix * 2.0)
+        np.testing.assert_array_equal(alignment.rows_for(copy), [0, 1])
