@@ -4,8 +4,11 @@ Set arguments take the form ``name=path[:weight[:colnorm]]``; weight
 defaults to 1 and the literal ``colnorm`` suffix enables per-dimension
 normalization for that set.  Training options can also come from a JSON
 config file (keys named after the TrainConfig fields); explicit flags
-win over the file.  Dataset paths are resolved against the
-``METAEMBED_DATA_DIR`` environment variable when not found directly.
+win over the file, and any other key than ``sets``, ``method``, ``dim``
+and ``strategy`` is an error.  An option that the chosen command or
+method never reads is accepted with a warning on stderr.  Dataset paths
+are resolved against the ``METAEMBED_DATA_DIR`` environment variable
+when not found directly.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,16 +36,21 @@ from .vocab import align
 
 DATA_DIR_ENV = "METAEMBED_DATA_DIR"
 
-_TRAIN_FIELDS = (
-    "batch_size", "learning_rate", "l2_weight", "epochs", "seed", "adagrad_epsilon",
-)
-# AdaGrad settings that extend accepts but cannot use: its projections
-# are fitted in closed form.  Field name -> flag.
-_EXTEND_UNUSED = {
-    "epochs": "--epochs",
-    "batch_size": "--batch-size",
-    "learning_rate": "--lr",
-    "adagrad_epsilon": "--adagrad-epsilon",
+_TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+_CONFIG_KEYS = ("sets", "method", "dim", "strategy", *_TRAIN_FIELDS)
+_FLAGS = {
+    "dim": "--dim", "seed": "--seed", "epochs": "--epochs", "batch_size": "--batch-size",
+    "learning_rate": "--lr", "l2_weight": "--l2", "adagrad_epsilon": "--adagrad-epsilon",
+}
+# Options that a command or method accepts but never reads: how the
+# warning names it, then the field names.
+_UNUSED = {
+    "extend": ("extend, which fits projections in closed form",
+               ("epochs", "batch_size", "learning_rate", "adagrad_epsilon")),
+    ensemble.CONCAT: ("concat, which trains nothing and keeps every dimension",
+                      ("dim", *_TRAIN_FIELDS)),
+    ensemble.SVD: ("svd, which trains nothing", _TRAIN_FIELDS),
+    "dim sweep": ("a dimension sweep, which takes each dimension from --values", ("dim",)),
 }
 
 
@@ -97,7 +106,25 @@ def _load_config_file(path: str | None) -> dict:
         config = json.load(f)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    unknown = [key for key in config if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(
+            f"{path}: unknown config key(s) {', '.join(unknown)}; "
+            f"expected some of {', '.join(_CONFIG_KEYS)}"
+        )
     return config
+
+
+def _warn_unused(args, file_config: dict, key: str) -> None:
+    """Print one stderr warning naming each option ``key`` never reads
+    that was set by flag or config file."""
+    what, fields = _UNUSED.get(key, ("", ()))
+    flags = [
+        _FLAGS[field] for field in fields
+        if getattr(args, field, None) is not None or field in file_config
+    ]
+    if flags:
+        print(f"warning: no effect on {what}: {', '.join(flags)}", file=sys.stderr)
 
 
 def make_train_config(
@@ -114,11 +141,25 @@ def make_train_config(
     return TrainConfig(**values)
 
 
-def _gather_set_specs(args, file_config: dict) -> list[SetSpec]:
+def _gather_set_specs(args, file_config: dict, minimum: int = 1) -> list[SetSpec]:
     raw = args.sets if args.sets else file_config.get("sets", [])
     if not raw:
         raise ValueError("no embedding sets given (use --sets or a config file)")
-    return [parse_set_spec(s) for s in raw]
+    specs = [parse_set_spec(s) for s in raw]
+    if len(specs) < minimum:
+        raise ValueError(f"{args.command} needs at least {minimum} sets, got {len(specs)}")
+    return specs
+
+
+def _method_dim_config(args, file_config: dict) -> tuple[str, int, TrainConfig]:
+    """The method, output dimension and training settings of build or sweep."""
+    method = args.method or file_config.get("method")
+    if method not in ensemble.METHODS:
+        raise ValueError(f"--method must be one of {ensemble.METHODS}, got {method!r}")
+    _warn_unused(args, file_config, method)
+    dim = args.dim if args.dim is not None else file_config.get("dim", ensemble.DEFAULT_DIM)
+    base = TrainConfig.union_defaults() if method == ensemble.LATENT_UNION else None
+    return method, dim, make_train_config(args, file_config, base)
 
 
 def _load_sets(specs: list[SetSpec]) -> list[EmbeddingSet]:
@@ -126,12 +167,7 @@ def _load_sets(specs: list[SetSpec]) -> list[EmbeddingSet]:
 
 
 def _write_csv(rows: list[list], header: list[str], out: str | None) -> None:
-    if out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as f:
+    with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -173,15 +209,8 @@ def cmd_info(args) -> int:
 
 def cmd_build(args) -> int:
     file_config = _load_config_file(args.config)
-    specs = _gather_set_specs(args, file_config)
-    if len(specs) < 2:
-        raise ValueError(f"build needs at least 2 sets, got {len(specs)}")
-    method = args.method or file_config.get("method")
-    if method not in ensemble.METHODS:
-        raise ValueError(f"--method must be one of {ensemble.METHODS}, got {method!r}")
-    dim = args.dim if args.dim is not None else file_config.get("dim", ensemble.DEFAULT_DIM)
-    base = TrainConfig.union_defaults() if method == ensemble.LATENT_UNION else None
-    config = make_train_config(args, file_config, base)
+    specs = _gather_set_specs(args, file_config, minimum=2)
+    method, dim, config = _method_dim_config(args, file_config)
 
     sets = _load_sets(specs)
     alignment = align(sets)
@@ -223,21 +252,10 @@ def cmd_build(args) -> int:
 
 def cmd_extend(args) -> int:
     file_config = _load_config_file(args.config)
-    specs = _gather_set_specs(args, file_config)
-    if len(specs) < 2:
-        raise ValueError(f"extend needs at least 2 sets, got {len(specs)}")
+    specs = _gather_set_specs(args, file_config, minimum=2)
     strategy = args.strategy or file_config.get("strategy", oov.PROJECTED)
     config = make_train_config(args, file_config, TrainConfig.projection_defaults())
-    ignored = [
-        flag for field, flag in _EXTEND_UNUSED.items()
-        if getattr(args, field) is not None or field in file_config
-    ]
-    if ignored:
-        print(
-            f"warning: no effect on extend, which fits projections in closed form: "
-            f"{', '.join(ignored)}",
-            file=sys.stderr,
-        )
+    _warn_unused(args, file_config, "extend")
 
     sets = _load_sets(specs)
     extended = oov.extend_all(sets, config, strategy)
@@ -287,21 +305,16 @@ def cmd_eval_analogy(args) -> int:
 
 def cmd_sweep(args) -> int:
     file_config = _load_config_file(args.config)
-    specs = _gather_set_specs(args, file_config)
-    if len(specs) < 2:
-        raise ValueError(f"sweep needs at least 2 sets, got {len(specs)}")
-    method = args.method or file_config.get("method")
-    if method not in ensemble.METHODS:
-        raise ValueError(f"--method must be one of {ensemble.METHODS}, got {method!r}")
+    specs = _gather_set_specs(args, file_config, minimum=2)
+    method, base_dim, config = _method_dim_config(args, file_config)
+    if args.param == "dim":
+        _warn_unused(args, file_config, "dim sweep")
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError:
         raise ValueError(f"bad --values {args.values!r}: expected comma-separated numbers") from None
     if not values:
         raise ValueError("empty --values grid")
-    base = TrainConfig.union_defaults() if method == ensemble.LATENT_UNION else None
-    config = make_train_config(args, file_config, base)
-    base_dim = args.dim if args.dim is not None else file_config.get("dim", ensemble.DEFAULT_DIM)
 
     sets = _load_sets(specs)
     alignment = align(sets)

@@ -129,6 +129,9 @@ def prediction_loss_grads(
     return data_loss, grad_meta, grad_maps, grad_targets
 
 
+# A diverging run overflows to inf or nan; the epoch check names that
+# instead of numpy's own warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def _train(
     sets: list[EmbeddingSet], alignment: VocabAlignment, weights: dict[str, float],
     dim: int, config: TrainConfig, union: bool,

@@ -1,9 +1,8 @@
-"""Read and write word vector sets in the common plain-text formats.
+"""Read and write word vector sets in the common plain-text format.
 
-Two on-disk layouts are supported:
-
-* ``plain``  -- one record per line: ``word v1 v2 ... vd``
-* ``header`` -- same records preceded by a ``"<count> <dim>"`` line
+Each record is one line, ``word v1 v2 ... vd``.  Loading also accepts
+a ``"<count> <dim>"`` first line, which it detects by its count, and
+holds one float64 matrix plus the word list; saving writes records only.
 
 Tokens are opaque UTF-8 strings without internal whitespace; values are
 written with 9 significant digits, so a save/load round trip preserves
@@ -18,11 +17,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-
-PLAIN = "plain"
-HEADER = "header"
-AUTO = "auto"
-FORMATS = (PLAIN, HEADER)
 
 # Fixed output precision; part of the round-trip contract.
 VALUE_FORMAT = ".9g"
@@ -87,81 +81,70 @@ def _parse_header(parts: list[str]) -> tuple[int, int] | None:
     return count, dim
 
 
-def load_embedding_set(path, fmt: str = AUTO, name: str | None = None) -> EmbeddingSet:
+def load_embedding_set(path, name: str | None = None) -> EmbeddingSet:
     """Load an embedding set from a text vector file.
 
-    ``fmt`` is ``"plain"``, ``"header"``, or ``"auto"``; auto detection
-    treats a two-integer first line as a header only when the stated
-    count matches the number of remaining lines.  Words keep file order;
-    duplicate words after the first occurrence are dropped and reported
-    through a warning.  Malformed lines raise ``ValueError`` naming the
-    offending line number.
+    A two-integer first line is a ``"<count> <dim>"`` header only when
+    its count equals the number of non-empty lines after it.  The file
+    is read twice: once to count records, then once more to parse each
+    record straight into its row of a preallocated float64 matrix.
+    Words keep file order; duplicate words after the first occurrence
+    are parsed, then dropped and reported through a warning.  Malformed
+    lines raise ``ValueError`` naming the offending line number.
     """
     path = Path(path)
     if name is None:
         name = path.stem
-    if fmt not in FORMATS + (AUTO,):
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS + (AUTO,)}")
-
     with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-
-    start = 0
-    declared: tuple[int, int] | None = None
-    if lines:
-        maybe_header = _parse_header(lines[0].split())
-        if fmt == HEADER:
-            if maybe_header is None:
-                raise ValueError(f"{path}: line 1: expected '<count> <dim>' header")
-            declared = maybe_header
-            start = 1
-        elif fmt == AUTO and maybe_header is not None:
-            count, _ = maybe_header
-            if count == sum(1 for ln in lines[1:] if ln.strip()):
-                declared = maybe_header
-                start = 1
+        first = f.readline()
+        records = sum(1 for line in f if line.strip())
+    header = _parse_header(first.split())
+    if header is not None and header[0] == records:
+        start, dim = 1, header[1]
+        matrix = np.empty((records, dim))
+    else:
+        start, dim, matrix = 0, None, None
+        records += bool(first.strip())
 
     words: list[str] = []
     seen: set[str] = set()
-    rows: list[list[float]] = []
-    line_numbers: list[int] = []
+    line_numbers = np.empty(records, dtype=np.int64)
     duplicates = 0
-    dim = declared[1] if declared else None
+    with open(path, encoding="utf-8") as f:
+        if start:
+            f.readline()
+        for lineno, line in enumerate(f, start=start + 1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) < 2:
+                raise ValueError(f"{path}: line {lineno}: expected a word and {dim or 'at least 1'} values")
+            if matrix is None:
+                dim = len(parts) - 1
+                matrix = np.empty((records, dim))
+            if len(parts) - 1 != dim:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {dim} values, found {len(parts) - 1}"
+                )
+            # A duplicate is parsed into the next free row, which the
+            # next kept record overwrites.
+            try:
+                matrix[len(words)] = parts[1:]
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+            word = parts[0]
+            if word in seen:
+                duplicates += 1
+                continue
+            seen.add(word)
+            line_numbers[len(words)] = lineno
+            words.append(word)
 
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise ValueError(f"{path}: line {lineno}: expected a word and {dim or 'at least 1'} values")
-        word = parts[0]
-        if dim is None:
-            dim = len(parts) - 1
-        if len(parts) - 1 != dim:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {dim} values, found {len(parts) - 1}"
-            )
-        try:
-            values = [float(x) for x in parts[1:]]
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-        if word in seen:
-            duplicates += 1
-            continue
-        seen.add(word)
-        words.append(word)
-        rows.append(values)
-        line_numbers.append(lineno)
-
-    if not rows:
+    if not words:
         raise ValueError(f"{path}: no vector records found")
-    if declared is not None and declared[0] != len(rows) + duplicates:
-        raise ValueError(
-            f"{path}: header declares {declared[0]} records, found {len(rows) + duplicates}"
-        )
-
-    matrix = np.array(rows, dtype=np.float64)
-    finite = np.isfinite(matrix).all(axis=1)
+    matrix = matrix[: len(words)]
+    # min and max propagate nan and reach any inf, without an n x d mask
+    finite = np.isfinite(matrix.min(axis=1)) & np.isfinite(matrix.max(axis=1))
     if not finite.all():
         bad = line_numbers[int(np.flatnonzero(~finite)[0])]
         raise ValueError(f"{path}: line {bad}: non-finite value")
@@ -173,18 +156,14 @@ def load_embedding_set(path, fmt: str = AUTO, name: str | None = None) -> Embedd
     return EmbeddingSet(name=name, words=words, matrix=matrix)
 
 
-def save_embedding_set(emb: EmbeddingSet, path, fmt: str = PLAIN) -> None:
-    """Write ``emb`` to ``path`` in the given text format; a non-finite
-    value raises ``ValueError`` naming its word before the file opens."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+def save_embedding_set(emb: EmbeddingSet, path) -> None:
+    """Write ``emb`` to ``path`` as plain text, one record per line; a
+    non-finite value raises ``ValueError`` naming its word before the
+    file opens."""
     bad = np.flatnonzero(~np.isfinite(emb.matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: non-finite value for word {emb.words[bad[0]]!r}")
-    path = Path(path)
     row_format = " ".join(["%" + VALUE_FORMAT] * emb.dim)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if fmt == HEADER:
-            f.write(f"{len(emb.words)} {emb.dim}\n")
         for word, row in zip(emb.words, emb.matrix):
             f.write(f"{word} {row_format % tuple(row.tolist())}\n")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,64 @@ class TestBuild:
         ]) == 0
         meta_b = json.loads((out_b / "latent.json").read_text())
         assert meta_b["epochs_run"] == 3
+
+
+    def test_diverging_run_reports_only_the_named_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        words = [f"w{i:02d}" for i in range(50)]
+        paths = {}
+        for name in ("big1", "big2"):
+            emb = EmbeddingSet(name, words, rng.normal(size=(50, 4)) * 1e200)
+            paths[name] = tmp_path / f"{name}.txt"
+            save_embedding_set(emb, paths[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "build", "--sets", *set_args(paths), "--method", "latent",
+                "--dim", "2", "--out", str(tmp_path / "out"),
+            ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: training diverged: epoch 1 loss is inf\n"
+
+    def test_unknown_config_keys_rejected(self, toy_files, capsys):
+        tmp_path, paths = toy_files
+        config = tmp_path / "typos.json"
+        config.write_text(json.dumps({
+            "sets": set_args(paths), "method": "latent", "lr": 0.5, "epoch": 3,
+        }))
+        rc = main(["build", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unknown config key(s) lr, epoch;" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("method, flags, named", [
+        ("concat", ["--dim", "2", "--epochs", "5", "--lr", "3"], "--dim, --lr, --epochs"),
+        ("svd", ["--dim", "3", "--epochs", "5"], "--epochs"),
+    ])
+    def test_unused_options_warned(self, toy_files, capsys, method, flags, named):
+        tmp_path, paths = toy_files
+        rc = main([
+            "build", "--sets", *set_args(paths), "--method", method,
+            "--out", str(tmp_path / method), *flags,
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"warning: no effect on {method}, which trains nothing")
+        assert lines[0].endswith(f": {named}")
+
+    def test_trained_methods_read_every_option(self, toy_files, capsys):
+        tmp_path, paths = toy_files
+        rc = main([
+            "build", "--sets", *set_args(paths), "--method", "latent",
+            "--out", str(tmp_path / "latent"), "--dim", "2", "--epochs", "3",
+            "--lr", "0.01", "--batch-size", "5", "--l2", "0.001",
+            "--adagrad-epsilon", "1e-6", "--seed", "2",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestExtend:
@@ -371,6 +430,22 @@ class TestSweep:
         ])
         assert rc == 1
         assert "dim values" in capsys.readouterr().err
+
+    def test_unused_options_warned(self, toy_files, capsys):
+        tmp_path, paths = toy_files
+        dev = tmp_path / "dev.txt"
+        dev.write_text("w00 w01 9\nw02 w03 5\n", encoding="utf-8")
+        rc = main([
+            "sweep", "--sets", *set_args(paths), "--param", "dim", "--values", "2,3",
+            "--method", "svd", "--dev", str(dev), "--dim", "4", "--seed", "5",
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            "warning: no effect on svd, which trains nothing: --seed",
+            "warning: no effect on a dimension sweep, which takes each dimension "
+            "from --values: --dim",
+        ]
 
     def test_dim_sweep_rejected_for_concat(self, toy_files, capsys):
         tmp_path, paths = toy_files

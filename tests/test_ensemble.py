@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (
@@ -326,7 +328,8 @@ class TestTrainLatent:
         _, _, sets, _, _ = latent_linked_sets(n=60)
         huge = [EmbeddingSet(s.name, s.words, s.matrix * 1e200) for s in sets]
         cfg = TrainConfig(epochs=400, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the named error is the only message
             with pytest.raises(ValueError, match="epoch 1 loss is (inf|nan)"):
                 train_latent(huge, align(huge), {"one": 1.0, "two": 1.0}, 4, cfg)
 

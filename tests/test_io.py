@@ -1,15 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaembed.io import (
-    HEADER,
-    PLAIN,
-    EmbeddingSet,
-    load_embedding_set,
-    save_embedding_set,
-)
+from metaembed.io import EmbeddingSet, load_embedding_set, save_embedding_set
 
 
 def write(tmp_path, text, name="vectors.txt"):
@@ -25,12 +21,6 @@ class TestLoad:
         assert emb.words == ["a", "b"]
         assert emb.dim == 2
         np.testing.assert_array_equal(emb.matrix, np.eye(2))
-
-    def test_header_format(self, tmp_path):
-        path = write(tmp_path, "2 3\nx 1 2 3\ny 4 5 6\n")
-        emb = load_embedding_set(path, fmt=HEADER)
-        assert emb.dim == 3
-        assert len(emb) == 2
 
     def test_auto_detects_header(self, tmp_path):
         path = write(tmp_path, "2 3\nx 1 2 3\ny 4 5 6\n")
@@ -65,17 +55,17 @@ class TestLoad:
         with pytest.raises(ValueError, match="no vector records"):
             load_embedding_set(path)
 
-    def test_header_count_mismatch(self, tmp_path):
-        path = write(tmp_path, "3 2\na 1 2\nb 3 4\n")
-        with pytest.raises(ValueError, match="header declares 3"):
-            load_embedding_set(path, fmt=HEADER)
-
     def test_duplicates_keep_first_and_warn(self, tmp_path):
         path = write(tmp_path, "a 1 2\nb 3 4\na 9 9\n")
         with pytest.warns(UserWarning, match="1 duplicate"):
             emb = load_embedding_set(path)
         assert emb.words == ["a", "b"]
         np.testing.assert_array_equal(emb.row("a"), [1.0, 2.0])
+
+    def test_duplicate_is_parsed_before_it_is_dropped(self, tmp_path):
+        path = write(tmp_path, "a 1 2\nb 3 4\na 9 x\n")
+        with pytest.raises(ValueError, match="line 3: non-numeric"):
+            load_embedding_set(path)
 
     def test_file_order_preserved(self, tmp_path):
         words = ["zebra", "apple", "mango", "kiwi"]
@@ -87,6 +77,23 @@ class TestLoad:
         path = write(tmp_path, "a 1\n", name="glove_style.txt")
         assert load_embedding_set(path).name == "glove_style"
 
+    def test_peak_memory_is_about_one_matrix(self, tmp_path):
+        # values are parsed into a preallocated matrix, never held as
+        # Python floats: the peak stays below two copies of the result
+        rng = np.random.default_rng(2)
+        emb = EmbeddingSet(
+            "mem", [f"w{i}" for i in range(2000)], rng.uniform(-1.0, 1.0, (2000, 100))
+        )
+        path = tmp_path / "mem.txt"
+        save_embedding_set(emb, path)
+        tracemalloc.start()
+        try:
+            loaded = load_embedding_set(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * loaded.matrix.nbytes
+
 
 class TestSave:
     def test_round_trip_small(self, tmp_path):
@@ -97,20 +104,16 @@ class TestSave:
         assert back.words == emb.words
         np.testing.assert_allclose(back.matrix, emb.matrix, atol=1e-8)
 
-    def test_header_first_line(self, tmp_path):
-        emb = EmbeddingSet("toy", ["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
-        path = tmp_path / "out.txt"
-        save_embedding_set(emb, path, fmt=HEADER)
-        assert path.read_text().splitlines()[0] == "2 2"
-
     def test_round_trip_large_random(self, tmp_path):
         rng = np.random.default_rng(0)
         matrix = rng.uniform(-1.0, 1.0, (1000, 50))
         emb = EmbeddingSet("big", [f"w{i}" for i in range(1000)], matrix)
-        for fmt in (PLAIN, HEADER):
-            path = tmp_path / f"{fmt}.txt"
-            save_embedding_set(emb, path, fmt=fmt)
-            back = load_embedding_set(path, fmt=fmt)
+        path = tmp_path / "plain.txt"
+        save_embedding_set(emb, path)
+        headed = tmp_path / "header.txt"
+        headed.write_text("1000 50\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        for p in (path, headed):
+            back = load_embedding_set(p)
             assert back.words == emb.words
             assert np.abs(back.matrix - emb.matrix).max() < 1e-8
 
@@ -131,8 +134,11 @@ class TestSave:
         matrix = np.random.default_rng(seed).uniform(-2.0, 2.0, (len(words), dim))
         emb = EmbeddingSet("prop", words, matrix)
         path = tmp_path_factory.mktemp("roundtrip") / "v.txt"
-        save_embedding_set(emb, path, fmt=HEADER if with_header else PLAIN)
-        back = load_embedding_set(path, fmt=HEADER if with_header else PLAIN)
+        save_embedding_set(emb, path)
+        if with_header:
+            body = path.read_text(encoding="utf-8")
+            path.write_text(f"{len(words)} {dim}\n{body}", encoding="utf-8")
+        back = load_embedding_set(path)
         assert back.words == emb.words
         assert np.abs(back.matrix - emb.matrix).max() < 1e-8
 
