@@ -5,8 +5,9 @@ ties) between human judgements and the dot products of L2-normalized
 vectors, reported as rho * 100.  Analogy questions "a is to b as c is
 to ?" are answered by the vocabulary word closest to b - a + c in
 cosine, excluding a, b, and c, breaking exact ties by lexicographic
-word order.  Items involving any missing word are skipped and counted
-as OOV rather than scored.
+word order; a question that leaves no other word raises ``ValueError``.
+Items involving any missing word are skipped and counted as OOV rather
+than scored.
 """
 
 from __future__ import annotations
@@ -106,16 +107,8 @@ def load_analogy_dataset(path) -> AnalogyDataset:
 
 def _ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    s = np.sort(values)
+    return (np.searchsorted(s, values, "left") + np.searchsorted(s, values, "right") + 1) / 2
 
 
 def spearman(xs, ys) -> float:
@@ -160,16 +153,30 @@ def eval_similarity(emb: EmbeddingSet, dataset: SimilarityDataset) -> EvalResult
     )
 
 
-def _best_excluding(
-    scores: np.ndarray, words: list[str], exclude: tuple[int, ...]
-) -> str:
-    scores = scores.copy()
-    scores[list(exclude)] = -np.inf
-    best = scores.max()
-    candidates = np.flatnonzero(scores == best)
-    if len(candidates) == 1:
-        return words[candidates[0]]
-    return min(words[j] for j in candidates)
+def _answers(emb: EmbeddingSet, abc: np.ndarray) -> np.ndarray:
+    """Row of the answer to each (a, b, c) row of ``abc``.
+
+    Rows are scored in lexicographic word order, so the first maximum
+    is the first word in that order among exact ties.  Raises
+    ``ValueError`` when a question leaves no word outside a, b and c.
+    """
+    order = np.array(sorted(range(len(emb)), key=emb.words.__getitem__), dtype=np.int64)
+    normed = normalize_rows(emb.matrix[order])
+    abc = np.argsort(order)[abc]
+    answers = np.empty(len(abc), dtype=np.int64)
+    for start in range(0, len(abc), _ANALOGY_CHUNK):
+        chunk = abc[start : start + _ANALOGY_CHUNK]
+        ia, ib, ic = chunk.T
+        scores = (normed[ib] - normed[ia] + normed[ic]) @ normed.T
+        rows = np.arange(len(chunk))
+        scores[rows[:, None], chunk] = -np.inf
+        best = scores.argmax(axis=1)
+        stuck = np.flatnonzero(scores[rows, best] == -np.inf)
+        if stuck.size:
+            query = [emb.words[order[i]] for i in chunk[stuck[0]]]
+            raise ValueError(f"no candidate word outside the query words {query}")
+        answers[start : start + len(chunk)] = best
+    return order[answers]
 
 
 def answer_analogy(emb: EmbeddingSet, a: str, b: str, c: str) -> str:
@@ -179,10 +186,7 @@ def answer_analogy(emb: EmbeddingSet, a: str, b: str, c: str) -> str:
     missing = [w for w in (a, b, c) if w not in index]
     if missing:
         raise ValueError(f"query words not in vocabulary: {missing}")
-    normed = normalize_rows(emb.matrix)
-    ia, ib, ic = index[a], index[b], index[c]
-    query = normed[ib] - normed[ia] + normed[ic]
-    return _best_excluding(normed @ query, emb.words, (ia, ib, ic))
+    return emb.words[_answers(emb, np.array([[index[a], index[b], index[c]]]))[0]]
 
 
 def eval_analogy(emb: EmbeddingSet, dataset: AnalogyDataset) -> dict[str, EvalResult]:
@@ -193,36 +197,23 @@ def eval_analogy(emb: EmbeddingSet, dataset: AnalogyDataset) -> dict[str, EvalRe
     "syntactic", and "total".
     """
     index = emb.index
-    normed = normalize_rows(emb.matrix)
-    words = emb.words
-
-    evaluable = []  # (ia, ib, ic, d word, category)
-    counts = {SEMANTIC: [0, 0, 0], SYNTACTIC: [0, 0, 0]}  # correct, evaluated, oov
-    for a, b, c, d, category in dataset.questions:
-        if any(w not in index for w in (a, b, c, d)):
-            counts[category][2] += 1
+    quads, syntactic, oov = [], [], {SEMANTIC: 0, SYNTACTIC: 0}
+    for *question, category in dataset.questions:
+        if any(w not in index for w in question):
+            oov[category] += 1
             continue
-        evaluable.append((index[a], index[b], index[c], d, category))
+        quads.append([index[w] for w in question])
+        syntactic.append(category == SYNTACTIC)
+    quads = np.array(quads, dtype=np.int64).reshape(-1, 4)
+    syntactic = np.array(syntactic, dtype=bool)
+    hits = _answers(emb, quads[:, :3]) == quads[:, 3]
 
-    for start in range(0, len(evaluable), _ANALOGY_CHUNK):
-        chunk = evaluable[start : start + _ANALOGY_CHUNK]
-        queries = np.stack(
-            [normed[ib] - normed[ia] + normed[ic] for ia, ib, ic, _, _ in chunk]
-        )
-        scores = queries @ normed.T
-        for row, (ia, ib, ic, d, category) in zip(scores, chunk):
-            answer = _best_excluding(row, words, (ia, ib, ic))
-            counts[category][1] += 1
-            if answer == d:
-                counts[category][0] += 1
+    def result(hit: np.ndarray, oov_count: int) -> EvalResult:
+        score = 100.0 * int(hit.sum()) / len(hit) if len(hit) else 0.0
+        return EvalResult(score=score, oov_count=oov_count, evaluated_count=len(hit))
 
-    def result(correct: int, evaluated: int, oov: int) -> EvalResult:
-        score = 100.0 * correct / evaluated if evaluated else 0.0
-        return EvalResult(score=score, oov_count=oov, evaluated_count=evaluated)
-
-    sem, syn = counts[SEMANTIC], counts[SYNTACTIC]
     return {
-        SEMANTIC: result(*sem),
-        SYNTACTIC: result(*syn),
-        "total": result(sem[0] + syn[0], sem[1] + syn[1], sem[2] + syn[2]),
+        SEMANTIC: result(hits[~syntactic], oov[SEMANTIC]),
+        SYNTACTIC: result(hits[syntactic], oov[SYNTACTIC]),
+        "total": result(hits, oov[SEMANTIC] + oov[SYNTACTIC]),
     }

@@ -4,9 +4,10 @@ Each record is one line, ``word v1 v2 ... vd``.  Loading also accepts
 a ``"<count> <dim>"`` first line, which it detects by its count, and
 holds one float64 matrix plus the word list; saving writes records only.
 
-Tokens are opaque UTF-8 strings without internal whitespace; values are
-written with 9 significant digits, so a save/load round trip preserves
-matrices to better than 1e-8 for unit-scale vectors.
+Tokens are opaque, non-empty UTF-8 strings without whitespace, and
+saving refuses any other word, which the loader could not read back;
+values are written with 9 significant digits, so a save/load round trip
+preserves matrices to better than 1e-8 for unit-scale vectors.
 """
 
 from __future__ import annotations
@@ -157,9 +158,12 @@ def load_embedding_set(path, name: str | None = None) -> EmbeddingSet:
 
 
 def save_embedding_set(emb: EmbeddingSet, path) -> None:
-    """Write ``emb`` to ``path`` as plain text, one record per line; a
-    non-finite value raises ``ValueError`` naming its word before the
-    file opens."""
+    """Write ``emb`` to ``path`` as plain text, one record per line; an
+    empty word, a word containing whitespace, or a non-finite value
+    raises ``ValueError`` naming the word before the file opens."""
+    unreadable = next((w for w in emb.words if w.split() != [w]), None)
+    if unreadable is not None:
+        raise ValueError(f"{path}: word {unreadable!r} is empty or contains whitespace")
     bad = np.flatnonzero(~np.isfinite(emb.matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: non-finite value for word {emb.words[bad[0]]!r}")

@@ -211,15 +211,27 @@ class TestAnswerAnalogy:
 
     def test_average_filled_degenerate_ties(self):
         # words that share one vector tie exactly at cosine 1, so the
-        # lexicographically first non-query word wins
+        # lexicographically first non-query word wins, whatever the row order
         shared = [0.5, 0.5]
         emb = EmbeddingSet(
             "filled",
-            ["mm", "nn", "oo", "pp", "qq", "real1", "real2"],
-            [shared, shared, shared, shared, shared, [1.0, 0.0], [0.0, 1.0]],
+            ["real2", "qq", "pp", "real1", "oo", "nn", "mm"],
+            [[0.0, 1.0], shared, shared, [1.0, 0.0], shared, shared, shared],
         )
-        assert answer_analogy(emb, "nn", "oo", "pp") == "mm"
-        assert answer_analogy(emb, "mm", "nn", "oo") == "pp"
+        expected = [("nn", "oo", "pp", "mm"), ("mm", "nn", "oo", "pp"),
+                    ("qq", "mm", "nn", "oo"), ("mm", "oo", "nn", "pp")]
+        for a, b, c, d in expected:
+            assert answer_analogy(emb, a, b, c) == d
+        results = eval_analogy(emb, AnalogyDataset([(*q, SEMANTIC) for q in expected]))
+        assert results[SEMANTIC].score == 100.0
+        assert results[SEMANTIC].evaluated_count == len(expected)
+
+    def test_no_candidate_word_is_an_error(self):
+        emb = EmbeddingSet("tiny", ["b", "a", "c"], np.eye(3))
+        with pytest.raises(ValueError, match="no candidate word"):
+            answer_analogy(emb, "a", "b", "c")
+        with pytest.raises(ValueError, match="no candidate word"):
+            eval_analogy(emb, AnalogyDataset([("a", "b", "c", "a", SEMANTIC)]))
 
 
 class TestEvalAnalogy:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,7 +122,7 @@ class TestSave:
     @given(
         st.lists(
             st.text(
-                alphabet=st.characters(blacklist_categories=("Zs", "Cc", "Cs")),
+                alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
                 min_size=1, max_size=8,
             ),
             min_size=1, max_size=6, unique=True,
@@ -167,6 +168,16 @@ class TestSave:
         emb = EmbeddingSet("bad", ["a", "b"], [[1.0, 2.0], [bad, 4.0]])
         path = tmp_path / "out.txt"
         with pytest.raises(ValueError, match="non-finite value for word 'b'"):
+            save_embedding_set(emb, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("word", ["a b", "a\tb", "a\u2028b", "a\u0085b", ""])
+    def test_unreadable_word_refused_before_writing(self, tmp_path, word):
+        # the loader cannot read these back: whitespace splits the word,
+        # and " 1 2" would load as a "<count> <dim>" header
+        emb = EmbeddingSet("bad", [word, "z"], [[1.0, 2.0], [3.0, 4.0]])
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=re.escape(f"word {word!r} is empty or contains whitespace")):
             save_embedding_set(emb, path)
         assert not path.exists()
 
