@@ -1,7 +1,7 @@
 """metaembed: combine pre-trained word embedding sets into meta-embeddings.
 
 Builds combined representations by weighted concatenation, low-rank
-compression, or jointly trained latent vectors; fills vocabulary gaps
+compression, or jointly fitted latent vectors; fills vocabulary gaps
 with least-squares cross-set projections; and evaluates the results on
 word similarity and word analogy benchmarks.
 """

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import ensemble, oov
 from .evaluate import (
+    EvalResult,
     eval_analogy,
     eval_similarity,
     load_analogy_dataset,
@@ -50,6 +51,7 @@ _UNUSED = {
     ensemble.CONCAT: ("concat, which trains nothing and keeps every dimension",
                       ("dim", *_TRAIN_FIELDS)),
     ensemble.SVD: ("svd, which trains nothing", _TRAIN_FIELDS),
+    ensemble.LATENT: ("latent, which trains nothing (a closed-form fit)", _TRAIN_FIELDS),
     "dim sweep": ("a dimension sweep, which takes each dimension from --values", ("dim",)),
 }
 
@@ -174,24 +176,19 @@ def _write_csv(rows: list[list], header: list[str], out: str | None) -> None:
 
 
 def _build_meta(specs, sets, alignment, method, dim, config):
+    """The meta-embeddings, the extended sets (or None) and the report (or None)."""
     weights = {s.name: s.weight for s in specs}
-    colnorm = [s.name for s in specs if s.column_normalize]
-    extended = None
-    report = None
-    if method == ensemble.CONCAT:
-        meta = ensemble.concatenate(sets, weights, alignment, colnorm)
-    elif method == ensemble.SVD:
-        conc = ensemble.concatenate(sets, weights, alignment, colnorm)
-        meta = ensemble.svd_reduce(conc, dim)
-    elif method == ensemble.LATENT:
+    if method == ensemble.LATENT:
         meta, _, report = ensemble.train_latent(sets, alignment, weights, dim, config)
-    elif method == ensemble.LATENT_UNION:
+        return meta, None, report
+    if method == ensemble.LATENT_UNION:
         meta, extended, _, report = ensemble.train_latent_union(
             sets, alignment, weights, dim, config
         )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return meta, extended, report
+        return meta, extended, report
+    colnorm = [s.name for s in specs if s.column_normalize]
+    conc = ensemble.concatenate(sets, weights, alignment, colnorm)
+    return (conc if method == ensemble.CONCAT else ensemble.svd_reduce(conc, dim)), None, None
 
 
 def cmd_info(args) -> int:
@@ -238,11 +235,10 @@ def cmd_build(args) -> int:
         "seed": config.seed,
     }
     if report is not None:
-        metadata["epochs_run"] = len(report.epoch_losses)
         metadata["final_loss"] = report.final_loss
-        metadata["batch_size"] = config.batch_size
-        metadata["learning_rate"] = config.learning_rate
-        metadata["l2_weight"] = config.l2_weight
+    if method == ensemble.LATENT_UNION:
+        metadata.update(epochs_run=len(report.epoch_losses), batch_size=config.batch_size,
+                        learning_rate=config.learning_rate, l2_weight=config.l2_weight)
     with open(out_dir / f"{method}.json", "w", encoding="utf-8") as f:
         json.dump(metadata, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -271,36 +267,32 @@ def cmd_extend(args) -> int:
     return 0
 
 
+def _write_scores(scored: list[tuple[str, str, EvalResult]], out: str | None) -> int:
+    """Write (embedding, dataset, result) triples as the eval CSV; returns exit code 0."""
+    rows = [[e, d, format(r.score, ".4f"), r.oov_count, r.evaluated_count] for e, d, r in scored]
+    _write_csv(rows, ["embedding", "dataset", "score", "oov_count", "evaluated"], out)
+    return 0
+
+
 def cmd_eval_sim(args) -> int:
-    rows = []
+    scored = []
     for emb_path in args.emb:
         emb = load_embedding_set(emb_path)
         for ds_path in args.datasets:
             ds = load_similarity_dataset(resolve_dataset(ds_path))
-            result = eval_similarity(emb, ds)
-            rows.append([
-                emb.name, ds.name, format(result.score, ".4f"),
-                result.oov_count, result.evaluated_count,
-            ])
-    _write_csv(rows, ["embedding", "dataset", "score", "oov_count", "evaluated"], args.out)
-    return 0
+            scored.append((emb.name, ds.name, eval_similarity(emb, ds)))
+    return _write_scores(scored, args.out)
 
 
 def cmd_eval_analogy(args) -> int:
     ds = load_analogy_dataset(resolve_dataset(args.dataset))
     ds_name = Path(args.dataset).stem
-    rows = []
+    scored = []
     for emb_path in args.emb:
         emb = load_embedding_set(emb_path)
-        results = eval_analogy(emb, ds)
-        for category in ("semantic", "syntactic", "total"):
-            r = results[category]
-            rows.append([
-                emb.name, f"{ds_name}:{category}", format(r.score, ".4f"),
-                r.oov_count, r.evaluated_count,
-            ])
-    _write_csv(rows, ["embedding", "dataset", "score", "oov_count", "evaluated"], args.out)
-    return 0
+        # semantic, syntactic, then total
+        scored += [(emb.name, f"{ds_name}:{c}", r) for c, r in eval_analogy(emb, ds).items()]
+    return _write_scores(scored, args.out)
 
 
 def cmd_sweep(args) -> int:

@@ -2,18 +2,21 @@
 
 * ``concatenate``       -- weighted concatenation of per-set normalized vectors
 * ``svd_reduce``        -- low-rank compression of that concatenation
-* ``train_latent``      -- meta-vectors learned to predict every set through
-                           one linear map per set, over the shared vocabulary
+* ``train_latent``      -- meta-vectors that predict every set through one
+                           linear map per set, over the shared vocabulary
 * ``train_latent_union``-- the same objective over the vocabulary union, with
                            each set's missing vectors learned as parameters
 
-The two trained constructions share one objective: for word w with
-meta-vector x and per-set targets t_i,
+The last two share one objective: for word w with meta-vector x and
+per-set targets t_i,
 
     sum_i gamma_i * ||M_i x - t_i||^2  +  l2 * sum_i ||M_i||_F^2
 
-minimized by mini-batch AdaGrad.  Losses are summed within a batch and
-reported as per-word means (excluding the penalty term).
+Over the shared vocabulary its infimum is closed-form: scaling x up and
+the maps down drives the penalty to 0, and the data term is a rank-dim
+fit of [sqrt(gamma_1) T_1 ...] (Eckart-Young), which ``train_latent``
+returns.  ``train_latent_union`` minimizes it by mini-batch AdaGrad.
+Losses are reported as per-word means, excluding the penalty term.
 """
 
 from __future__ import annotations
@@ -129,30 +132,70 @@ def prediction_loss_grads(
     return data_loss, grad_meta, grad_maps, grad_targets
 
 
+def train_latent(
+    sets: list[EmbeddingSet],
+    alignment: VocabAlignment,
+    weights: dict[str, float],
+    dim: int = DEFAULT_DIM,
+    config: TrainConfig | None = None,
+) -> tuple[EmbeddingSet, dict[str, np.ndarray], TrainReport]:
+    """Meta-vectors over the shared vocabulary, in closed form.
+
+    With ``u s v^T`` the rank-``dim`` truncated SVD of the
+    sqrt(gamma)-weighted hstack of the sets' shared rows, returns the
+    meta-embeddings ``u s`` (named ``latent``), the maps from the meta
+    space into each set's space keyed by set name (the set's rows of
+    ``v`` over sqrt(gamma); set dim x meta dim), and a report of the
+    per-word loss with no epochs.  ``config`` is not read.  Raises
+    ``ValueError`` when ``dim`` exceeds the rank of the hstack.
+    """
+    if not alignment.intersection:
+        raise ValueError("empty shared vocabulary")
+    shared = alignment.presence.all(axis=0)
+    gammas = [_set_weight(weights, s.name) for s in sets]
+    targets = [s.matrix[alignment.rows_for(s)[shared]] for s in sets]
+    result = truncated_svd(np.hstack([np.sqrt(g) * t for g, t in zip(gammas, targets)]), dim)
+    meta = result.u_d * result.singular_values
+    bounds = np.cumsum([0, *(s.dim for s in sets)])
+    maps = [result.v_d[a:b] / np.sqrt(g) for a, b, g in zip(bounds, bounds[1:], gammas)]
+    loss, *_ = prediction_loss_grads(meta, maps, targets, gammas, 0.0)
+    report = TrainReport(final_loss=loss / len(meta))
+    maps_by_name = {s.name: m for s, m in zip(sets, maps)}
+    return EmbeddingSet(LATENT, alignment.intersection, meta), maps_by_name, report
+
+
 # A diverging run overflows to inf or nan; the epoch check names that
 # instead of numpy's own warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def _train(
-    sets: list[EmbeddingSet], alignment: VocabAlignment, weights: dict[str, float],
-    dim: int, config: TrainConfig, union: bool,
-) -> tuple[list[str], np.ndarray, list[np.ndarray], dict[str, np.ndarray], TrainReport]:
-    """Minimize the shared objective over the union or the intersection.
+def train_latent_union(
+    sets: list[EmbeddingSet],
+    alignment: VocabAlignment,
+    weights: dict[str, float],
+    dim: int = DEFAULT_DIM,
+    config: TrainConfig | None = None,
+) -> tuple[EmbeddingSet, list[EmbeddingSet], dict[str, np.ndarray], TrainReport]:
+    """Learn meta-vectors over the vocabulary union by mini-batch AdaGrad.
 
-    Over the union each set's missing rows start random and are trained
-    with the meta-vectors and maps; over the intersection none is
-    missing.  Raises ``ValueError`` at the first epoch whose loss is not
-    finite.  Returns the words, meta-vectors, targets, maps by set name
-    and the report.
+    Meta-vectors and maps start from small random values.  Words
+    missing from a set get randomly initialized vectors in that set's
+    space which are updated jointly with them; vectors of known words
+    are never modified.  Raises ``ValueError`` at the first epoch whose
+    loss is not finite.  Returns the meta-embeddings (named
+    ``latent_union``), each input set extended to the union vocabulary,
+    the learned maps as in ``train_latent``, and the training report.
     """
+    if config is None:
+        config = TrainConfig.union_defaults()
+    if len(sets) < 2:
+        raise ValueError(f"need at least 2 embedding sets, got {len(sets)}")
     gammas = [_set_weight(weights, s.name) for s in sets]
-    vocab = alignment.union if union else alignment.intersection
-    columns = slice(None) if union else alignment.presence.all(axis=0)
+    vocab = alignment.union
     rng = seeded_rng(config.seed)
     meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(vocab), dim))
     maps = [rng.uniform(-INIT_RANGE, INIT_RANGE, (s.dim, dim)) for s in sets]
     targets, trainable = [], []
     for s in sets:
-        rows = alignment.rows_for(s)[columns]
+        rows = alignment.rows_for(s)
         missing = rows < 0
         t = s.matrix[rows]  # rows of -1 are placeholders, drawn next
         t[missing] = rng.uniform(-INIT_RANGE, INIT_RANGE, (int(missing.sum()), s.dim))
@@ -162,12 +205,12 @@ def _train(
     lr, eps, n = config.learning_rate, config.adagrad_epsilon, len(vocab)
     meta_accum = np.zeros_like(meta)
     map_accums = [np.zeros_like(m) for m in maps]
-    target_accums = [np.zeros_like(t) for t in targets] if union else None
+    target_accums = [np.zeros_like(t) for t in targets]
     report = TrainReport()
     for epoch in range(config.epochs):
         epoch_loss = 0.0
         for batch in minibatches(n, config.batch_size, config.seed, epoch):
-            masks = [m[batch] for m in trainable] if union else None
+            masks = [m[batch] for m in trainable]
             loss, g_meta, g_maps, g_targets = prediction_loss_grads(
                 meta[batch], maps, [t[batch] for t in targets], gammas,
                 config.l2_weight, masks,
@@ -180,7 +223,7 @@ def _train(
                 maps[i], map_accums[i] = adagrad_update(
                     maps[i], g_maps[i], map_accums[i], lr, eps
                 )
-            for i, mask in enumerate(masks or []):
+            for i, mask in enumerate(masks):
                 rows = batch[mask]
                 if rows.size:
                     targets[i][rows], target_accums[i][rows] = adagrad_update(
@@ -194,52 +237,6 @@ def _train(
         if loss_plateaued(report.epoch_losses):
             break
     report.final_loss = report.epoch_losses[-1]
-    return vocab, meta, targets, {s.name: m for s, m in zip(sets, maps)}, report
-
-
-def train_latent(
-    sets: list[EmbeddingSet],
-    alignment: VocabAlignment,
-    weights: dict[str, float],
-    dim: int = DEFAULT_DIM,
-    config: TrainConfig | None = None,
-) -> tuple[EmbeddingSet, dict[str, np.ndarray], TrainReport]:
-    """Learn meta-vectors over the shared vocabulary.
-
-    Meta-vectors and per-set maps start from small random values and are
-    trained to reproduce every set's vector for every shared word.
-    Returns the meta-embeddings (named ``latent``), the learned maps
-    from the meta space into each set's space keyed by set name (shape
-    set dim x meta dim), and the training report.
-    """
-    if config is None:
-        config = TrainConfig()
-    if not alignment.intersection:
-        raise ValueError("empty shared vocabulary")
-    vocab, meta, _, maps, report = _train(sets, alignment, weights, dim, config, False)
-    return EmbeddingSet(name=LATENT, words=vocab, matrix=meta), maps, report
-
-
-def train_latent_union(
-    sets: list[EmbeddingSet],
-    alignment: VocabAlignment,
-    weights: dict[str, float],
-    dim: int = DEFAULT_DIM,
-    config: TrainConfig | None = None,
-) -> tuple[EmbeddingSet, list[EmbeddingSet], dict[str, np.ndarray], TrainReport]:
-    """Learn meta-vectors over the vocabulary union.
-
-    Words missing from a set get randomly initialized vectors in that
-    set's space which are updated jointly with the meta-vectors; vectors
-    of known words are never modified.  Returns the meta-embeddings
-    (named ``latent_union``), each input set extended to the union
-    vocabulary, the learned maps as in ``train_latent``, and the
-    training report.
-    """
-    if config is None:
-        config = TrainConfig.union_defaults()
-    if len(sets) < 2:
-        raise ValueError(f"need at least 2 embedding sets, got {len(sets)}")
-    vocab, meta, targets, maps, report = _train(sets, alignment, weights, dim, config, True)
     extended = [EmbeddingSet(s.name, vocab, t) for s, t in zip(sets, targets)]
-    return EmbeddingSet(LATENT_UNION, vocab, meta), extended, maps, report
+    maps_by_name = {s.name: m for s, m in zip(sets, maps)}
+    return EmbeddingSet(LATENT_UNION, vocab, meta), extended, maps_by_name, report

@@ -23,7 +23,9 @@ from .linalg import normalize_rows
 SEMANTIC = "semantic"
 SYNTACTIC = "syntactic"
 
-_ANALOGY_CHUNK = 256  # questions scored per matrix product
+# Questions scored per matrix product; fewer on a vocabulary above 2**14
+# words, so that one block of scores holds at most 2**22 floats (32 MB).
+_ANALOGY_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -164,14 +166,16 @@ def _answers(emb: EmbeddingSet, abc: np.ndarray) -> np.ndarray:
     normed = normalize_rows(emb.matrix[order])
     abc = np.argsort(order)[abc]
     answers = np.empty(len(abc), dtype=np.int64)
-    for start in range(0, len(abc), _ANALOGY_CHUNK):
-        chunk = abc[start : start + _ANALOGY_CHUNK]
+    size = max(1, min(_ANALOGY_CHUNK, 2**22 // len(emb)))
+    for start in range(0, len(abc), size):
+        chunk = abc[start : start + size]
         ia, ib, ic = chunk.T
         scores = (normed[ib] - normed[ia] + normed[ic]) @ normed.T
         rows = np.arange(len(chunk))
         scores[rows[:, None], chunk] = -np.inf
         best = scores.argmax(axis=1)
         stuck = np.flatnonzero(scores[rows, best] == -np.inf)
+        del scores  # freed before the next block is allocated
         if stuck.size:
             query = [emb.words[order[i]] for i in chunk[stuck[0]]]
             raise ValueError(f"no candidate word outside the query words {query}")

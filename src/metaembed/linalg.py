@@ -15,16 +15,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Leading left-singular subspace of a matrix.
+    """Leading singular triplets of a matrix ``m ~= u_d @ diag(s) @ v_d.T``.
 
-    ``u_d`` has orthonormal columns; ``singular_values`` are sorted in
-    non-increasing order.  Column signs are fixed so that the
-    largest-magnitude entry of each column is positive.
+    ``u_d`` and ``v_d`` have orthonormal columns; ``singular_values``
+    are sorted in non-increasing order.  Column signs are fixed so that
+    the largest-magnitude entry of each ``u_d`` column is positive, and
+    ``v_d`` takes the same flips.
     """
 
     u_d: np.ndarray
     singular_values: np.ndarray
-    d: int
+    v_d: np.ndarray
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -41,19 +42,20 @@ def normalize_columns(m: np.ndarray) -> np.ndarray:
     return m / np.where(norms == 0.0, 1.0, norms)
 
 
-def _fix_signs(u: np.ndarray) -> np.ndarray:
+def _column_signs(u: np.ndarray) -> np.ndarray:
     # SVD sign is arbitrary; pin each column for determinism.
     lead = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[lead, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
-    return u * signs
+    return signs
 
 
 def truncated_svd(m: np.ndarray, d: int) -> SvdResult:
-    """Leading ``d`` left-singular vectors and values of ``m``.
+    """Leading ``d`` singular vectors and values of ``m``.
 
     Raises ``ValueError`` when ``d`` exceeds the numerical rank of
-    ``m``: the trailing singular vectors would then be arbitrary.
+    ``m`` (the trailing singular vectors would then be arbitrary) or
+    when the Gram product overflows.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -61,13 +63,18 @@ def truncated_svd(m: np.ndarray, d: int) -> SvdResult:
     rows, cols = m.shape
     if not 1 <= d <= min(rows, cols):
         raise ValueError(f"d={d} out of range for a {rows}x{cols} matrix")
-    eigvals, eigvecs = np.linalg.eigh(m.T @ m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.T @ m
+    if not np.isfinite(gram).all():
+        raise ValueError(f"the Gram matrix of the {rows}x{cols} matrix is not finite")
+    eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
     # Eigenvalues below this are rounding noise of the Gram product.
     tol = eigvals[0] * max(rows, cols) * np.finfo(np.float64).eps
     rank = int(np.count_nonzero(eigvals > tol))
     if d > rank:
         raise ValueError(f"d={d} exceeds the rank {rank} of the {rows}x{cols} matrix")
-    s = np.sqrt(eigvals[:d])
-    u = (m @ eigvecs[:, :d]) / s
-    return SvdResult(u_d=_fix_signs(u), singular_values=s, d=d)
+    s, v = np.sqrt(eigvals[:d]), eigvecs[:, :d]
+    u = (m @ v) / s
+    signs = _column_signs(u)
+    return SvdResult(u_d=u * signs, singular_values=s, v_d=v * signs)

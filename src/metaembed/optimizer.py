@@ -1,9 +1,9 @@
-"""Mini-batch AdaGrad machinery shared by the meta-embedding trainers.
+"""Mini-batch AdaGrad machinery of the union meta-embedding trainer.
 
-Every trainer in this package draws its randomness from a single seed,
-shuffles word indices into batches once per epoch, and applies the same
-per-parameter AdaGrad rule.  Epoch-mean losses are tracked so training
-can stop early once improvement stalls.
+The trainer draws its randomness from a single seed, shuffles word
+indices into batches once per epoch, and applies a per-parameter
+AdaGrad rule.  Epoch-mean losses are tracked so training can stop
+early once improvement stalls.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ INIT_RANGE = 0.05  # uniform [-INIT_RANGE, INIT_RANGE] parameter init
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    Defaults match the meta-embedding trainer; ``union_defaults`` gives
-    the tuned values for union training.  ``projection_defaults`` gives
-    the values for pairwise projections, whose closed-form fit reads
-    only ``l2_weight``.
+    ``union_defaults`` gives the tuned values for union training, the
+    one AdaGrad run.  ``train_latent`` is a closed form that reads no
+    field, and ``projection_defaults`` gives the values for pairwise
+    projections, whose closed-form fit reads only ``l2_weight``.
     """
 
     batch_size: int = 200

@@ -103,7 +103,6 @@ class TestBuild:
             rc = main([
                 "build", "--sets", *set_args(paths, {"alpha": 8}),
                 "--method", "latent", "--dim", "4", "--out", str(out_dir),
-                "--epochs", "30", "--seed", "7",
             ])
             assert rc == 0
             outputs.append((out_dir / "latent.txt").read_bytes())
@@ -144,14 +143,14 @@ class TestBuild:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "sets": set_args(paths),
-            "method": "latent",
+            "method": "latent_union",
             "dim": 3,
             "epochs": 5,
             "seed": 11,
         }))
         out_a = tmp_path / "from_config"
         assert main(["build", "--config", str(config), "--out", str(out_a)]) == 0
-        meta_a = json.loads((out_a / "latent.json").read_text())
+        meta_a = json.loads((out_a / "latent_union.json").read_text())
         assert meta_a["epochs_run"] == 5
         assert meta_a["seed"] == 11
 
@@ -159,11 +158,33 @@ class TestBuild:
         assert main([
             "build", "--config", str(config), "--out", str(out_b), "--epochs", "3",
         ]) == 0
-        meta_b = json.loads((out_b / "latent.json").read_text())
+        meta_b = json.loads((out_b / "latent_union.json").read_text())
         assert meta_b["epochs_run"] == 3
 
+    def test_latent_sidecar_records_no_training_settings(self, toy_files):
+        tmp_path, paths = toy_files
+        out_dir = tmp_path / "latent"
+        assert main([
+            "build", "--sets", *set_args(paths), "--method", "latent",
+            "--dim", "3", "--out", str(out_dir),
+        ]) == 0
+        sidecar = json.loads((out_dir / "latent.json").read_text())
+        assert sidecar["final_loss"] > 0
+        for field in ("epochs_run", "batch_size", "learning_rate", "l2_weight"):
+            assert field not in sidecar
 
-    def test_diverging_run_reports_only_the_named_error(self, tmp_path, capsys):
+    def test_latent_dim_above_rank_fails(self, toy_files, capsys):
+        # 12 shared words and 3 + 4 columns: no rank-8 fit exists
+        tmp_path, paths = toy_files
+        rc = main([
+            "build", "--sets", *set_args(paths), "--method", "latent",
+            "--dim", "8", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        assert "d=8 out of range for a 12x7 matrix" in capsys.readouterr().err
+
+    @pytest.fixture
+    def huge_files(self, tmp_path):
         rng = np.random.default_rng(3)
         words = [f"w{i:02d}" for i in range(50)]
         paths = {}
@@ -171,15 +192,26 @@ class TestBuild:
             emb = EmbeddingSet(name, words, rng.normal(size=(50, 4)) * 1e200)
             paths[name] = tmp_path / f"{name}.txt"
             save_embedding_set(emb, paths[name])
+        return tmp_path, paths
+
+    def run_warnings_as_errors(self, huge_files, method):
+        tmp_path, paths = huge_files
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main([
-                "build", "--sets", *set_args(paths), "--method", "latent",
+            return main([
+                "build", "--sets", *set_args(paths), "--method", method,
                 "--dim", "2", "--out", str(tmp_path / "out"),
             ])
-        assert rc == 1
+
+    def test_diverging_run_reports_only_the_named_error(self, huge_files, capsys):
+        assert self.run_warnings_as_errors(huge_files, "latent_union") == 1
         err = capsys.readouterr().err
         assert err == "error: training diverged: epoch 1 loss is inf\n"
+
+    def test_latent_overflow_reports_only_the_named_error(self, huge_files, capsys):
+        assert self.run_warnings_as_errors(huge_files, "latent") == 1
+        err = capsys.readouterr().err
+        assert err == "error: the Gram matrix of the 50x8 matrix is not finite\n"
 
     def test_unknown_config_keys_rejected(self, toy_files, capsys):
         tmp_path, paths = toy_files
@@ -196,6 +228,8 @@ class TestBuild:
     @pytest.mark.parametrize("method, flags, named", [
         ("concat", ["--dim", "2", "--epochs", "5", "--lr", "3"], "--dim, --lr, --epochs"),
         ("svd", ["--dim", "3", "--epochs", "5"], "--epochs"),
+        ("latent", ["--dim", "3", "--epochs", "5", "--l2", "0.1", "--seed", "2"],
+         "--l2, --epochs, --seed"),
     ])
     def test_unused_options_warned(self, toy_files, capsys, method, flags, named):
         tmp_path, paths = toy_files
@@ -212,8 +246,8 @@ class TestBuild:
     def test_trained_methods_read_every_option(self, toy_files, capsys):
         tmp_path, paths = toy_files
         rc = main([
-            "build", "--sets", *set_args(paths), "--method", "latent",
-            "--out", str(tmp_path / "latent"), "--dim", "2", "--epochs", "3",
+            "build", "--sets", *set_args(paths), "--method", "latent_union",
+            "--out", str(tmp_path / "latent_union"), "--dim", "2", "--epochs", "3",
             "--lr", "0.01", "--batch-size", "5", "--l2", "0.001",
             "--adagrad-epsilon", "1e-6", "--seed", "2",
         ])

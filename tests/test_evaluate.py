@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,29 @@ class TestEvalAnalogy:
             questions.append((a, b, c, d, SEMANTIC))
         results = eval_analogy(emb, AnalogyDataset(questions))
         assert results[SEMANTIC].score == 100.0
+
+    def test_score_block_shrinks_with_the_vocabulary(self):
+        # 300 questions against 100k words: one 256-question block of
+        # scores alone would take 205 MB
+        rng = np.random.default_rng(5)
+        n, n_questions = 100_000, 300
+        matrix = rng.normal(size=(n, 8))
+        abc = rng.choice(n - n_questions, size=(n_questions, 3))
+        normed = normalize_rows(matrix)
+        answers = np.arange(n - n_questions, n)
+        matrix[answers] = normed[abc[:, 1]] - normed[abc[:, 0]] + normed[abc[:, 2]]
+        words = [f"w{i:06d}" for i in range(n)]
+        emb = EmbeddingSet("large", words, matrix)
+        questions = [(*(words[i] for i in q), words[d], SEMANTIC) for q, d in zip(abc, answers)]
+        emb.index  # noqa: B018 -- build the cached word table before measuring
+        tracemalloc.start()
+        try:
+            results = eval_analogy(emb, AnalogyDataset(questions))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert results[SEMANTIC].score == 100.0
+        assert peak < 64e6
 
 
 class TestLoaders:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,3 +128,24 @@ class TestTruncatedSvd:
     def test_d_above_rank_names_the_rank(self):
         with pytest.raises(ValueError, match="rank 1"):
             truncated_svd(np.ones((5, 3)), 2)
+
+    def test_right_vectors_share_the_left_signs(self):
+        # m v = u s holds column by column only if v took u's sign flips
+        rng = np.random.default_rng(10)
+        m = rng.normal(size=(30, 9))
+        result = truncated_svd(m, 5)
+        np.testing.assert_allclose(result.v_d.T @ result.v_d, np.eye(5), atol=1e-10)
+        np.testing.assert_allclose(
+            m @ result.v_d, result.u_d * result.singular_values, atol=1e-10
+        )
+        full = truncated_svd(m, 9)
+        np.testing.assert_allclose(
+            (full.u_d * full.singular_values) @ full.v_d.T, m, atol=1e-10
+        )
+
+    def test_overflowing_gram_is_a_named_error(self):
+        m = np.random.default_rng(11).normal(size=(6, 3)) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Gram matrix of the 6x3 matrix is not finite"):
+                truncated_svd(m, 2)
