@@ -2,13 +2,14 @@
 
 Set arguments take the form ``name=path[:weight[:colnorm]]``; weight
 defaults to 1 and the literal ``colnorm`` suffix enables per-dimension
-normalization for that set.  Training options can also come from a JSON
-config file (keys named after the TrainConfig fields); explicit flags
-win over the file, and any other key than ``sets``, ``method``, ``dim``
-and ``strategy`` is an error.  An option that the chosen command or
-method never reads is accepted with a warning on stderr.  Dataset paths
-are resolved against the ``METAEMBED_DATA_DIR`` environment variable
-when not found directly.
+normalization for that set.  A JSON config file (``--config``) holds
+flags: each key (``sets``, ``method``, ``dim``, ``strategy`` or a
+TrainConfig field) is read as its flag typed before the command line's
+own, so argparse checks its value and a typed flag wins.  Any other key
+is an error; a key the command has no flag for, and an option that the
+chosen command or method never reads, are accepted with a warning on
+stderr.  Dataset paths are resolved against the ``METAEMBED_DATA_DIR``
+environment variable when not found directly.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from .vocab import align
 DATA_DIR_ENV = "METAEMBED_DATA_DIR"
 
 _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig))
-_CONFIG_KEYS = ("sets", "method", "dim", "strategy", *_TRAIN_FIELDS)
+# The flag of each option; the keys are also the config-file keys.
 _FLAGS = {
-    "dim": "--dim", "seed": "--seed", "epochs": "--epochs", "batch_size": "--batch-size",
-    "learning_rate": "--lr", "l2_weight": "--l2", "adagrad_epsilon": "--adagrad-epsilon",
+    "sets": "--sets", "method": "--method", "dim": "--dim", "strategy": "--strategy",
+    "batch_size": "--batch-size", "learning_rate": "--lr", "l2_weight": "--l2",
+    "epochs": "--epochs", "seed": "--seed", "adagrad_epsilon": "--adagrad-epsilon",
 }
 # Options that a command or method accepts but never reads: how the
 # warning names it, then the field names.
@@ -101,67 +103,64 @@ def resolve_dataset(path: str) -> Path:
     raise ValueError(f"dataset file not found: {path}")
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _config_flags(path: str) -> list[str]:
+    """The JSON config file at ``path`` as command-line tokens."""
     with open(path, encoding="utf-8") as f:
         config = json.load(f)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = [key for key in config if key not in _CONFIG_KEYS]
+    unknown = [key for key in config if key not in _FLAGS]
     if unknown:
         raise ValueError(
             f"{path}: unknown config key(s) {', '.join(unknown)}; "
-            f"expected some of {', '.join(_CONFIG_KEYS)}"
+            f"expected some of {', '.join(_FLAGS)}"
         )
-    return config
+    tokens = []
+    for key, value in config.items():
+        if key == "sets":
+            tokens += ["--sets", *map(str, value if isinstance(value, list) else [value])]
+        else:
+            tokens.append(f"{_FLAGS[key]}={value}")
+    return tokens
 
 
-def _warn_unused(args, file_config: dict, key: str) -> None:
-    """Print one stderr warning naming each option ``key`` never reads
-    that was set by flag or config file."""
-    what, fields = _UNUSED.get(key, ("", ()))
-    flags = [
-        _FLAGS[field] for field in fields
-        if getattr(args, field, None) is not None or field in file_config
-    ]
+def _warn(what: str, flags: list[str]) -> None:
     if flags:
         print(f"warning: no effect on {what}: {', '.join(flags)}", file=sys.stderr)
 
 
-def make_train_config(
-    args, file_config: dict, base: TrainConfig | None = None
-) -> TrainConfig:
-    """TrainConfig from ``base`` defaults, then config file, then flags."""
+def _warn_unused(args, key: str) -> None:
+    """Print one stderr warning naming each given option that ``key`` never reads."""
+    what, fields = _UNUSED.get(key, ("", ()))
+    _warn(what, [_FLAGS[field] for field in fields if getattr(args, field, None) is not None])
+
+
+def make_train_config(args, base: TrainConfig | None = None) -> TrainConfig:
+    """TrainConfig from ``base`` defaults, then the options that were set."""
     values = dataclasses.asdict(base) if base is not None else {}
     for field in _TRAIN_FIELDS:
-        if field in file_config:
-            values[field] = file_config[field]
-        flag = getattr(args, field, None)
-        if flag is not None:
-            values[field] = flag
+        if getattr(args, field, None) is not None:
+            values[field] = getattr(args, field)
     return TrainConfig(**values)
 
 
-def _gather_set_specs(args, file_config: dict, minimum: int = 1) -> list[SetSpec]:
-    raw = args.sets if args.sets else file_config.get("sets", [])
-    if not raw:
+def _gather_set_specs(args, minimum: int = 1) -> list[SetSpec]:
+    if not args.sets:
         raise ValueError("no embedding sets given (use --sets or a config file)")
-    specs = [parse_set_spec(s) for s in raw]
+    specs = [parse_set_spec(s) for s in args.sets]
     if len(specs) < minimum:
         raise ValueError(f"{args.command} needs at least {minimum} sets, got {len(specs)}")
     return specs
 
 
-def _method_dim_config(args, file_config: dict) -> tuple[str, int, TrainConfig]:
+def _method_dim_config(args) -> tuple[str, int, TrainConfig]:
     """The method, output dimension and training settings of build or sweep."""
-    method = args.method or file_config.get("method")
-    if method not in ensemble.METHODS:
-        raise ValueError(f"--method must be one of {ensemble.METHODS}, got {method!r}")
-    _warn_unused(args, file_config, method)
-    dim = args.dim if args.dim is not None else file_config.get("dim", ensemble.DEFAULT_DIM)
-    base = TrainConfig.union_defaults() if method == ensemble.LATENT_UNION else None
-    return method, dim, make_train_config(args, file_config, base)
+    if args.method is None:
+        raise ValueError("no method given (use --method or a config file)")
+    _warn_unused(args, args.method)
+    dim = args.dim if args.dim is not None else ensemble.DEFAULT_DIM
+    base = TrainConfig.union_defaults() if args.method == ensemble.LATENT_UNION else None
+    return args.method, dim, make_train_config(args, base)
 
 
 def _load_sets(specs: list[SetSpec]) -> list[EmbeddingSet]:
@@ -192,9 +191,7 @@ def _build_meta(specs, sets, alignment, method, dim, config):
 
 
 def cmd_info(args) -> int:
-    file_config = _load_config_file(args.config)
-    specs = _gather_set_specs(args, file_config)
-    sets = _load_sets(specs)
+    sets = _load_sets(_gather_set_specs(args))
     for s in sets:
         print(f"{s.name}: {len(s)} words, {s.dim} dimensions")
     if len(sets) >= 2:
@@ -205,9 +202,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_build(args) -> int:
-    file_config = _load_config_file(args.config)
-    specs = _gather_set_specs(args, file_config, minimum=2)
-    method, dim, config = _method_dim_config(args, file_config)
+    specs = _gather_set_specs(args, minimum=2)
+    method, dim, config = _method_dim_config(args)
 
     sets = _load_sets(specs)
     alignment = align(sets)
@@ -232,13 +228,11 @@ def cmd_build(args) -> int:
             }
             for s in specs
         ],
-        "seed": config.seed,
     }
     if report is not None:
         metadata["final_loss"] = report.final_loss
     if method == ensemble.LATENT_UNION:
-        metadata.update(epochs_run=len(report.epoch_losses), batch_size=config.batch_size,
-                        learning_rate=config.learning_rate, l2_weight=config.l2_weight)
+        metadata.update(dataclasses.asdict(config), epochs_run=len(report.epoch_losses))
     with open(out_dir / f"{method}.json", "w", encoding="utf-8") as f:
         json.dump(metadata, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -247,11 +241,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    file_config = _load_config_file(args.config)
-    specs = _gather_set_specs(args, file_config, minimum=2)
-    strategy = args.strategy or file_config.get("strategy", oov.PROJECTED)
-    config = make_train_config(args, file_config, TrainConfig.projection_defaults())
-    _warn_unused(args, file_config, "extend")
+    specs = _gather_set_specs(args, minimum=2)
+    strategy = args.strategy or oov.PROJECTED
+    config = make_train_config(args, TrainConfig.projection_defaults())
+    _warn_unused(args, "extend")
 
     sets = _load_sets(specs)
     extended = oov.extend_all(sets, config, strategy)
@@ -296,11 +289,15 @@ def cmd_eval_analogy(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    file_config = _load_config_file(args.config)
-    specs = _gather_set_specs(args, file_config, minimum=2)
-    method, base_dim, config = _method_dim_config(args, file_config)
+    specs = _gather_set_specs(args, minimum=2)
+    method, base_dim, config = _method_dim_config(args)
     if args.param == "dim":
-        _warn_unused(args, file_config, "dim sweep")
+        _warn_unused(args, "dim sweep")
+    elif all(s.weight == 1.0 for s in specs):
+        raise ValueError(
+            "a weight sweep changes only sets whose weight is not 1: "
+            "give at least one set a non-unit weight in --sets"
+        )
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError:
@@ -349,14 +346,8 @@ def _add_set_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--l2", dest="l2_weight", type=float, default=None)
-    p.add_argument(
-        "--adagrad-epsilon", dest="adagrad_epsilon", type=float, default=None
-    )
+    for field in dataclasses.fields(TrainConfig):
+        p.add_argument(_FLAGS[field.name], dest=field.name, type=type(field.default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,8 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None) is not None:
+            # the file's flags come first, so the typed ones win
+            args, leftover = parser.parse_known_args(
+                [args.command, *_config_flags(args.config), *argv[1:]]
+            )
+            _warn(args.command, [token.split("=", 1)[0] for token in leftover])
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,8 +49,8 @@ def _set_weight(weights: dict[str, float], name: str) -> float:
     if name not in weights:
         raise ValueError(f"no weight given for set {name!r}")
     w = float(weights[name])
-    if w <= 0:
-        raise ValueError(f"weight for set {name!r} must be positive, got {w}")
+    if not 0 < w < np.inf:
+        raise ValueError(f"weight for set {name!r} must be positive and finite, got {w}")
     return w
 
 

@@ -513,16 +513,213 @@ class TestMakeTrainConfig:
         from metaembed.cli import make_train_config
         from metaembed.optimizer import TrainConfig
 
-        cfg = make_train_config(self.args(), {}, TrainConfig.projection_defaults())
+        cfg = make_train_config(self.args(), TrainConfig.projection_defaults())
         assert cfg.learning_rate == 0.01
         assert cfg.l2_weight == 5e-8
 
-    def test_flags_beat_config_file(self):
-        from metaembed.cli import make_train_config
+    def test_flags_beat_config_file(self, toy_files):
+        # the file beats the defaults, and typed flags beat the file
+        tmp_path, paths = toy_files
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"epochs": 9, "seed": 4}))
+        out_dir = tmp_path / "out"
+        assert main([
+            "build", "--sets", *set_args(paths), "--method", "latent_union", "--dim", "2",
+            "--config", str(config), "--out", str(out_dir), "--epochs", "3", "--lr", "0.5",
+        ]) == 0
+        sidecar = json.loads((out_dir / "latent_union.json").read_text())
+        assert (sidecar["epochs"], sidecar["seed"], sidecar["learning_rate"]) == (3, 4, 0.5)
+        assert sidecar["batch_size"] == 2000
 
-        cfg = make_train_config(
-            self.args(epochs=3, learning_rate=0.5), {"epochs": 9, "seed": 4}, None
-        )
-        assert cfg.epochs == 3
-        assert cfg.seed == 4
-        assert cfg.learning_rate == 0.5
+
+class TestConfigFile:
+    """A config file is read as flags typed before the command line's own."""
+
+    def write(self, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    @pytest.mark.parametrize("config", [
+        {"method": "latent_union", "epochs": True},
+        {"method": "svd", "dim": 2.7},
+        {"method": "latent_union", "seed": 1.5},
+        {"method": "cbow"},
+        {"method": "latent_union", "learning_rate": "fast"},
+    ], ids=["bool-epochs", "float-dim", "float-seed", "unknown-method", "text-lr"])
+    def test_badly_typed_value_is_an_argparse_error(self, toy_files, capsys, config):
+        tmp_path, paths = toy_files
+        path = self.write(tmp_path, {"sets": set_args(paths), **config})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build", "--config", path, "--out", str(tmp_path / "x")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, text, field, value", [
+        ("epochs", "5", "epochs", 5),
+        ("learning_rate", "0.1", "learning_rate", 0.1),
+        ("dim", "2", "dim", 2),
+    ])
+    def test_number_as_text_is_read_as_its_flag(self, toy_files, key, text, field, value):
+        tmp_path, paths = toy_files
+        config = {"sets": set_args(paths), "method": "latent_union", "epochs": 2, key: text}
+        out_dir = tmp_path / "out"
+        assert main(["build", "--config", self.write(tmp_path, config), "--out", str(out_dir)]) == 0
+        assert json.loads((out_dir / "latent_union.json").read_text())[field] == value
+
+    def test_sets_as_one_string_is_one_set(self, toy_files, capsys):
+        tmp_path, paths = toy_files
+        path = self.write(tmp_path, {"sets": f"alpha={paths['alpha']}"})
+        assert main(["info", "--config", path]) == 0
+        assert capsys.readouterr().out == "alpha: 12 words, 3 dimensions\n"
+
+    def test_key_without_flag_is_warned(self, toy_files, capsys):
+        tmp_path, paths = toy_files
+        path = self.write(tmp_path, {"sets": set_args(paths), "method": "svd", "dim": 3})
+        assert main(["extend", "--config", path, "--out", str(tmp_path / "ext")]) == 0
+        assert capsys.readouterr().err == "warning: no effect on extend: --method, --dim\n"
+        assert (tmp_path / "ext" / "alpha.extended.txt").exists()
+
+    def test_build_config_on_info_is_warned(self, toy_files, capsys):
+        tmp_path, paths = toy_files
+        path = self.write(tmp_path, {
+            "sets": set_args(paths), "method": "latent_union", "dim": 3, "epochs": 4,
+        })
+        assert main(["info", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: no effect on info: --method, --dim, --epochs\n"
+        assert "intersection: 12 words" in captured.out
+
+    @pytest.mark.parametrize("key, file_value, typed", [
+        ("method", "concat", "svd"),
+        ("dim", 2, "3"),
+        ("strategy", "random", "average"),
+        ("batch_size", 7, "5"),
+        ("learning_rate", 0.02, "0.01"),
+        ("l2_weight", 0.01, "0.001"),
+        ("epochs", 4, "3"),
+        ("seed", 9, "2"),
+        ("adagrad_epsilon", 1e-4, "1e-06"),
+    ])
+    def test_typed_flag_beats_file(self, toy_files, key, file_value, typed):
+        tmp_path, paths = toy_files
+        flag = {"batch_size": "--batch-size", "learning_rate": "--lr", "l2_weight": "--l2",
+                "adagrad_epsilon": "--adagrad-epsilon"}.get(key, f"--{key}")
+        if key == "strategy":
+            command, base, sidecar = "extend", {}, "extend.json"
+        elif key in ("method", "dim"):
+            command, base, sidecar = "build", {"method": "svd", "dim": 3}, "svd.json"
+        else:
+            command, base = "build", {"method": "latent_union", "dim": 2, "epochs": 2}
+            sidecar = "latent_union.json"
+        config = {"sets": set_args(paths), **base, key: file_value}
+        out_dir = tmp_path / "out"
+        assert main([
+            command, "--config", self.write(tmp_path, config), "--out", str(out_dir),
+            flag, typed,
+        ]) == 0
+        recorded = json.loads((out_dir / sidecar).read_text())[key]
+        assert str(recorded) == typed
+
+    def test_typed_sets_beat_file(self, toy_files):
+        tmp_path, paths = toy_files
+        config = {"sets": ["x=missing.txt", "y=missing.txt"], "method": "concat"}
+        out_dir = tmp_path / "out"
+        assert main([
+            "build", "--config", self.write(tmp_path, config), "--out", str(out_dir),
+            "--sets", *set_args(paths),
+        ]) == 0
+        sidecar = json.loads((out_dir / "concat.json").read_text())
+        assert [s["name"] for s in sidecar["sets"]] == ["alpha", "beta"]
+
+    def test_entry_point_reads_sys_argv(self, toy_files, monkeypatch):
+        # the installed ``metaembed`` script calls main() with no arguments
+        tmp_path, paths = toy_files
+        path = self.write(tmp_path, {"sets": set_args(paths), "method": "svd", "dim": "3"})
+        out_dir = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["metaembed", "build", "--config", path,
+                                         "--out", str(out_dir)])
+        assert main() == 0
+        assert load_embedding_set(out_dir / "svd.txt").dim == 3
+
+
+class TestWeights:
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    @pytest.mark.parametrize("method", ["concat", "latent"])
+    def test_non_finite_weight_names_the_set(self, toy_files, capsys, method, weight):
+        tmp_path, paths = toy_files
+        rc = main([
+            "build", "--sets", *set_args(paths, {"beta": weight}), "--method", method,
+            "--out", str(tmp_path / "x"), *(["--dim", "2"] if method == "latent" else []),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: weight for set 'beta' must be positive and finite, got {weight}\n"
+        assert not (tmp_path / "x" / f"{method}.txt").exists()
+
+    def test_non_finite_sweep_value_names_the_set(self, toy_files, capsys):
+        tmp_path, paths = toy_files
+        dev = tmp_path / "dev.txt"
+        dev.write_text("w00 w01 9\nw02 w03 5\n", encoding="utf-8")
+        rc = main([
+            "sweep", "--sets", *set_args(paths, {"alpha": 8}), "--param", "weight",
+            "--values", "2,nan", "--method", "concat", "--dev", str(dev),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "weight for set 'alpha' must be positive and finite, got nan" in captured.err
+        assert captured.out == ""
+
+    def test_weight_sweep_needs_a_marked_set(self, tmp_path, capsys):
+        # fails before loading: neither the sets nor the dev file exist
+        rc = main([
+            "sweep", "--sets", "a=missing_a.txt", "b=missing_b.txt:1", "--param", "weight",
+            "--values", "1,2,4", "--method", "concat", "--dev", str(tmp_path / "dev.txt"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "non-unit weight" in err
+        assert "missing" not in err
+
+
+class TestSidecars:
+    @pytest.mark.parametrize("method", ["concat", "svd", "latent"])
+    def test_untrained_methods_record_no_seed(self, toy_files, method):
+        tmp_path, paths = toy_files
+        out_dir = tmp_path / method
+        assert main([
+            "build", "--sets", *set_args(paths), "--method", method, "--dim", "3",
+            "--out", str(out_dir),
+        ]) == 0
+        sidecar = json.loads((out_dir / f"{method}.json").read_text())
+        assert "seed" not in sidecar
+        assert {"method", "dim", "words", "sets"} <= set(sidecar)
+
+    def test_latent_union_records_every_training_setting(self, toy_files):
+        tmp_path, paths = toy_files
+        out_dir = tmp_path / "union"
+        assert main([
+            "build", "--sets", *set_args(paths), "--method", "latent_union", "--dim", "2",
+            "--epochs", "3", "--adagrad-epsilon", "1e-06", "--seed", "5", "--out", str(out_dir),
+        ]) == 0
+        sidecar = json.loads((out_dir / "latent_union.json").read_text())
+        assert set(sidecar) == {
+            "method", "dim", "words", "sets", "final_loss", "epochs_run", "batch_size",
+            "learning_rate", "l2_weight", "epochs", "seed", "adagrad_epsilon",
+        }
+        assert (sidecar["epochs"], sidecar["adagrad_epsilon"], sidecar["seed"]) == (3, 1e-6, 5)
+        assert sidecar["batch_size"] == 2000
+
+    def test_extend_keeps_its_seed(self, toy_files):
+        tmp_path, paths = toy_files
+        out_dir = tmp_path / "ext"
+        assert main([
+            "extend", "--sets", *set_args(paths), "--strategy", "random", "--seed", "4",
+            "--out", str(out_dir),
+        ]) == 0
+        assert json.loads((out_dir / "extend.json").read_text()) == {
+            "strategy": "random", "seed": 4,
+        }

@@ -421,3 +421,17 @@ class TestTrainLatentUnion:
         )
         with pytest.raises(ValueError, match="at least 2"):
             train_latent_union([emb], alignment, {"a": 1.0}, 2, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ["concatenate", "train_latent", "train_latent_union"])
+def test_non_finite_weight_rejected_by_every_method(method, weight):
+    rng = np.random.default_rng(4)
+    sets = make_sets(rng, ["a", "b", "c"], [2, 2])
+    weights = {"s0": 1.0, "s1": weight}
+    with pytest.raises(ValueError, match="weight for set 's1' must be positive and finite"):
+        if method == "concatenate":
+            concatenate(sets, weights, align(sets))
+        else:
+            fit = train_latent if method == "train_latent" else train_latent_union
+            fit(sets, align(sets), weights, 1, TrainConfig(epochs=1))
