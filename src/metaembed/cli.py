@@ -6,8 +6,8 @@ normalization for that set.  A JSON config file (``--config``) holds
 flags: each key (``sets``, ``method``, ``dim``, ``strategy`` or a
 TrainConfig field) is read as its flag typed before the command line's
 own, so argparse checks its value and a typed flag wins.  Any other key
-is an error; a key the command has no flag for, and an option that the
-chosen command or method never reads, are accepted with a warning on
+is an error.  An option, or set weight or colnorm, that the command's
+method or strategy does not read (see ``_READS``) draws a warning on
 stderr.  Dataset paths are resolved against the ``METAEMBED_DATA_DIR``
 environment variable when not found directly.
 """
@@ -45,16 +45,17 @@ _FLAGS = {
     "batch_size": "--batch-size", "learning_rate": "--lr", "l2_weight": "--l2",
     "epochs": "--epochs", "seed": "--seed", "adagrad_epsilon": "--adagrad-epsilon",
 }
-# Options that a command or method accepts but never reads: how the
-# warning names it, then the field names.
-_UNUSED = {
-    "extend": ("extend, which fits projections in closed form",
-               ("epochs", "batch_size", "learning_rate", "adagrad_epsilon")),
-    ensemble.CONCAT: ("concat, which trains nothing and keeps every dimension",
-                      ("dim", *_TRAIN_FIELDS)),
-    ensemble.SVD: ("svd, which trains nothing", _TRAIN_FIELDS),
-    ensemble.LATENT: ("latent, which trains nothing (a closed-form fit)", _TRAIN_FIELDS),
-    "dim sweep": ("a dimension sweep, which takes each dimension from --values", ("dim",)),
+# The options each method, extend strategy and info reads; ``weight`` and
+# ``colnorm`` are the set fields.  Any other option given is warned about.
+_READS = {
+    ensemble.CONCAT: ("weight", "colnorm"),
+    ensemble.SVD: ("dim", "weight", "colnorm"),
+    ensemble.LATENT: ("dim", "weight"),
+    ensemble.LATENT_UNION: ("dim", "weight", *_TRAIN_FIELDS),
+    oov.RANDOM: ("seed",),
+    oov.AVERAGE: (),
+    oov.PROJECTED: ("l2_weight",),
+    "info": (),
 }
 
 
@@ -106,7 +107,10 @@ def resolve_dataset(path: str) -> Path:
 def _config_flags(path: str) -> list[str]:
     """The JSON config file at ``path`` as command-line tokens."""
     with open(path, encoding="utf-8") as f:
-        config = json.load(f)
+        try:
+            config = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = [key for key in config if key not in _FLAGS]
@@ -129,21 +133,6 @@ def _warn(what: str, flags: list[str]) -> None:
         print(f"warning: no effect on {what}: {', '.join(flags)}", file=sys.stderr)
 
 
-def _warn_unused(args, key: str) -> None:
-    """Print one stderr warning naming each given option that ``key`` never reads."""
-    what, fields = _UNUSED.get(key, ("", ()))
-    _warn(what, [_FLAGS[field] for field in fields if getattr(args, field, None) is not None])
-
-
-def make_train_config(args, base: TrainConfig | None = None) -> TrainConfig:
-    """TrainConfig from ``base`` defaults, then the options that were set."""
-    values = dataclasses.asdict(base) if base is not None else {}
-    for field in _TRAIN_FIELDS:
-        if getattr(args, field, None) is not None:
-            values[field] = getattr(args, field)
-    return TrainConfig(**values)
-
-
 def _gather_set_specs(args, minimum: int = 1) -> list[SetSpec]:
     if not args.sets:
         raise ValueError("no embedding sets given (use --sets or a config file)")
@@ -153,14 +142,23 @@ def _gather_set_specs(args, minimum: int = 1) -> list[SetSpec]:
     return specs
 
 
-def _method_dim_config(args) -> tuple[str, int, TrainConfig]:
-    """The method, output dimension and training settings of build or sweep."""
-    if args.method is None:
-        raise ValueError("no method given (use --method or a config file)")
-    _warn_unused(args, args.method)
-    dim = args.dim if args.dim is not None else ensemble.DEFAULT_DIM
-    base = TrainConfig.union_defaults() if args.method == ensemble.LATENT_UNION else None
-    return args.method, dim, make_train_config(args, base)
+def _read_options(args, specs: list[SetSpec], flag: str | None = None, skip=()) -> dict:
+    """The options given, typed or from ``--config``, that ``_READS`` lists for
+    the value of ``--<flag>`` (or for the command), less ``skip``, by field
+    name.  One stderr warning names every other option given."""
+    key = getattr(args, flag) if flag else args.command
+    if key is None:
+        raise ValueError(f"no {flag} given (use --{flag} or a config file)")
+    reads = [field for field in _READS[key] if field not in skip]
+    given = [field for field in ("dim", *_TRAIN_FIELDS) if getattr(args, field, None) is not None]
+    unread = [_FLAGS[field] for field in given if field not in reads]
+    for s in specs:
+        if s.weight != 1.0 and "weight" not in reads:
+            unread.append(f"the weight of set {s.name!r}")
+        if s.column_normalize and "colnorm" not in reads:
+            unread.append(f"the colnorm of set {s.name!r}")
+    _warn(f"{args.command} --{flag} {key}" if flag else key, unread)
+    return {field: getattr(args, field) for field in given if field in reads}
 
 
 def _load_sets(specs: list[SetSpec]) -> list[EmbeddingSet]:
@@ -191,7 +189,9 @@ def _build_meta(specs, sets, alignment, method, dim, config):
 
 
 def cmd_info(args) -> int:
-    sets = _load_sets(_gather_set_specs(args))
+    specs = _gather_set_specs(args)
+    _read_options(args, specs)
+    sets = _load_sets(specs)
     for s in sets:
         print(f"{s.name}: {len(s)} words, {s.dim} dimensions")
     if len(sets) >= 2:
@@ -203,37 +203,33 @@ def cmd_info(args) -> int:
 
 def cmd_build(args) -> int:
     specs = _gather_set_specs(args, minimum=2)
-    method, dim, config = _method_dim_config(args)
+    read = _read_options(args, specs, "method")
+    dim = read.pop("dim", ensemble.DEFAULT_DIM)
+    config = TrainConfig.union_defaults(**read) if args.method == ensemble.LATENT_UNION else None
 
     sets = _load_sets(specs)
     alignment = align(sets)
-    meta, extended, report = _build_meta(specs, sets, alignment, method, dim, config)
+    meta, extended, report = _build_meta(specs, sets, alignment, args.method, dim, config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    vector_path = out_dir / f"{method}.txt"
+    vector_path = out_dir / f"{args.method}.txt"
     save_embedding_set(meta, vector_path)
     if extended is not None:
         for ext in extended:
             save_embedding_set(ext, out_dir / f"{ext.name}.extended.txt")
 
     metadata = {
-        "method": method,
+        "method": args.method,
         "dim": meta.dim,
         "words": len(meta),
-        "sets": [
-            {
-                "name": s.name, "path": s.path, "weight": s.weight,
-                "column_normalize": s.column_normalize,
-            }
-            for s in specs
-        ],
+        "sets": [dataclasses.asdict(s) for s in specs],
     }
     if report is not None:
         metadata["final_loss"] = report.final_loss
-    if method == ensemble.LATENT_UNION:
+    if config is not None:
         metadata.update(dataclasses.asdict(config), epochs_run=len(report.epoch_losses))
-    with open(out_dir / f"{method}.json", "w", encoding="utf-8") as f:
+    with open(out_dir / f"{args.method}.json", "w", encoding="utf-8") as f:
         json.dump(metadata, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"wrote {vector_path} ({len(meta)} words, {meta.dim} dimensions)")
@@ -242,12 +238,10 @@ def cmd_build(args) -> int:
 
 def cmd_extend(args) -> int:
     specs = _gather_set_specs(args, minimum=2)
-    strategy = args.strategy or oov.PROJECTED
-    config = make_train_config(args, TrainConfig.projection_defaults())
-    _warn_unused(args, "extend")
+    config = TrainConfig.projection_defaults(**_read_options(args, specs, "strategy"))
 
     sets = _load_sets(specs)
-    extended = oov.extend_all(sets, config, strategy)
+    extended = oov.extend_all(sets, config, args.strategy)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ext in extended:
@@ -255,7 +249,7 @@ def cmd_extend(args) -> int:
         save_embedding_set(ext, path)
         print(f"wrote {path} ({len(ext)} words)")
     with open(out_dir / "extend.json", "w", encoding="utf-8") as f:
-        json.dump({"strategy": strategy, "seed": config.seed}, f, indent=2)
+        json.dump({"strategy": args.strategy, "seed": args.seed or 0}, f, indent=2)
         f.write("\n")
     return 0
 
@@ -290,10 +284,11 @@ def cmd_eval_analogy(args) -> int:
 
 def cmd_sweep(args) -> int:
     specs = _gather_set_specs(args, minimum=2)
-    method, base_dim, config = _method_dim_config(args)
-    if args.param == "dim":
-        _warn_unused(args, "dim sweep")
-    elif all(s.weight == 1.0 for s in specs):
+    # a dimension sweep takes each dimension from --values
+    read = _read_options(args, specs, "method", ("dim",) if args.param == "dim" else ())
+    base_dim = read.pop("dim", ensemble.DEFAULT_DIM)
+    config = TrainConfig.union_defaults(**read) if args.method == ensemble.LATENT_UNION else None
+    if args.param == "weight" and all(s.weight == 1.0 for s in specs):
         raise ValueError(
             "a weight sweep changes only sets whose weight is not 1: "
             "give at least one set a non-unit weight in --sets"
@@ -310,7 +305,7 @@ def cmd_sweep(args) -> int:
     dev = load_similarity_dataset(resolve_dataset(args.dev))
 
     if args.param == "dim":
-        if method == ensemble.CONCAT:
+        if args.method == ensemble.CONCAT:
             raise ValueError("dimension sweep does not apply to the concat method")
         k = sum(s.dim for s in sets)
         n = len(alignment.intersection)
@@ -323,14 +318,10 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in values:
         if args.param == "weight":
-            swept = [
-                SetSpec(s.name, s.path, value if s.weight != 1.0 else 1.0,
-                        s.column_normalize)
-                for s in specs
-            ]
-            meta, _, _ = _build_meta(swept, sets, alignment, method, base_dim, config)
+            swept = [dataclasses.replace(s, weight=value) if s.weight != 1.0 else s for s in specs]
+            meta, _, _ = _build_meta(swept, sets, alignment, args.method, base_dim, config)
         else:
-            meta, _, _ = _build_meta(specs, sets, alignment, method, int(value), config)
+            meta, _, _ = _build_meta(specs, sets, alignment, args.method, int(value), config)
         result = eval_similarity(meta, dev)
         rows.append([format(value, "g"), format(result.score, ".4f")])
     _write_csv(rows, ["value", "score"], args.out)
@@ -347,7 +338,9 @@ def _add_set_options(p: argparse.ArgumentParser) -> None:
 
 def _add_train_options(p: argparse.ArgumentParser) -> None:
     for field in dataclasses.fields(TrainConfig):
-        p.add_argument(_FLAGS[field.name], dest=field.name, type=type(field.default))
+        readers = [key for key, reads in _READS.items() if field.name in reads]
+        p.add_argument(_FLAGS[field.name], dest=field.name, type=type(field.default),
+                       help=f"read by {', '.join(readers)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="extend every set to the vocabulary union")
     _add_set_options(p)
-    p.add_argument("--strategy", choices=oov.STRATEGIES)
+    p.add_argument("--strategy", choices=oov.STRATEGIES, default=oov.PROJECTED)
     p.add_argument("--out", required=True, help="output directory")
     _add_train_options(p)
     p.set_defaults(func=cmd_extend)
@@ -408,10 +401,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None) is not None:
-            # the file's flags come first, so the typed ones win
-            args, leftover = parser.parse_known_args(
-                [args.command, *_config_flags(args.config), *argv[1:]]
-            )
+            # the file's flags come first, so the typed ones win; the typed ones
+            # already parsed alone, so an argparse error here comes from the file
+            try:
+                args, leftover = parser.parse_known_args(
+                    [args.command, *_config_flags(args.config), *argv[1:]]
+                )
+            except SystemExit:
+                print(f"error: that value comes from --config {args.config}", file=sys.stderr)
+                raise
             _warn(args.command, [token.split("=", 1)[0] for token in leftover])
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:

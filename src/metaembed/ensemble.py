@@ -179,7 +179,8 @@ def train_latent_union(
     Meta-vectors and maps start from small random values.  Words
     missing from a set get randomly initialized vectors in that set's
     space which are updated jointly with them; vectors of known words
-    are never modified.  Raises ``ValueError`` at the first epoch whose
+    are never modified.  Raises ``ValueError`` unless ``1 <= dim <=
+    min(union words, summed set dims)``, and at the first epoch whose
     loss is not finite.  Returns the meta-embeddings (named
     ``latent_union``), each input set extended to the union vocabulary,
     the learned maps as in ``train_latent``, and the training report.
@@ -190,6 +191,10 @@ def train_latent_union(
         raise ValueError(f"need at least 2 embedding sets, got {len(sets)}")
     gammas = [_set_weight(weights, s.name) for s in sets]
     vocab = alignment.union
+    bound = min(len(vocab), sum(s.dim for s in sets))
+    if not 1 <= dim <= bound:
+        raise ValueError(f"dim must be in [1, {bound}], the smaller of the union's words and "
+                         f"the sets' summed dims; got {dim} (--dim defaults to {DEFAULT_DIM})")
     rng = seeded_rng(config.seed)
     meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(vocab), dim))
     maps = [rng.uniform(-INIT_RANGE, INIT_RANGE, (s.dim, dim)) for s in sets]

@@ -40,15 +40,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.l2_weight < 0:
-            raise ValueError(f"l2_weight must be >= 0, got {self.l2_weight}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
+        if not 0 <= self.l2_weight < np.inf:
+            raise ValueError(f"l2_weight must be >= 0 and finite, got {self.l2_weight}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.adagrad_epsilon <= 0:
+        if not 0 < self.adagrad_epsilon < np.inf:
             raise ValueError(
-                f"adagrad_epsilon must be > 0, got {self.adagrad_epsilon}"
+                f"adagrad_epsilon must be > 0 and finite, got {self.adagrad_epsilon}"
             )
 
     @classmethod

@@ -21,6 +21,24 @@ def toy_files(tmp_path):
     return tmp_path, paths
 
 
+@pytest.fixture
+def ab_files(tmp_path):
+    """a (30 words x 4) and b (its last 24 words x 5): b misses 6 union words."""
+    rng = np.random.default_rng(2)
+    words = [f"w{i:02d}" for i in range(30)]
+    paths = {}
+    for name, vocab, dim in (("a", words, 4), ("b", words[6:], 5)):
+        paths[name] = tmp_path / f"{name}.txt"
+        emb = EmbeddingSet(name, vocab, rng.normal(size=(len(vocab), dim)))
+        save_embedding_set(emb, paths[name])
+    return tmp_path, paths
+
+
+def outputs(out_dir):
+    """The bytes of each vector file in ``out_dir``, by file name."""
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.suffix == ".txt"}
+
+
 def set_args(paths, weights=None):
     weights = weights or {}
     return [
@@ -238,10 +256,8 @@ class TestBuild:
             "--out", str(tmp_path / method), *flags,
         ])
         assert rc == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"warning: no effect on {method}, which trains nothing")
-        assert lines[0].endswith(f": {named}")
+        expected = f"warning: no effect on build --method {method}: {named}\n"
+        assert capsys.readouterr().err == expected
 
     def test_trained_methods_read_every_option(self, toy_files, capsys):
         tmp_path, paths = toy_files
@@ -314,13 +330,15 @@ class TestExtend:
         assert "--l2" not in lines[0]
 
     def test_no_warning_without_training_options(self, partial_files, capsys):
+        # projected reads --l2 but not --seed, which only random fills draw on
         tmp_path, paths = partial_files
         rc = main([
             "extend", "--sets", *set_args(paths), "--strategy", "projected",
             "--out", str(tmp_path / "quiet"), "--l2", "0.1", "--seed", "1",
         ])
         assert rc == 0
-        assert capsys.readouterr().err == ""
+        expected = "warning: no effect on extend --strategy projected: --seed\n"
+        assert capsys.readouterr().err == expected
 
     def test_average_strategy_rows_identical(self, partial_files):
         tmp_path, paths = partial_files
@@ -474,12 +492,9 @@ class TestSweep:
             "--method", "svd", "--dev", str(dev), "--dim", "4", "--seed", "5",
         ])
         assert rc == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert lines == [
-            "warning: no effect on svd, which trains nothing: --seed",
-            "warning: no effect on a dimension sweep, which takes each dimension "
-            "from --values: --dim",
-        ]
+        # a dimension sweep takes each dimension from --values
+        expected = "warning: no effect on sweep --method svd: --dim, --seed\n"
+        assert capsys.readouterr().err == expected
 
     def test_dim_sweep_rejected_for_concat(self, toy_files, capsys):
         tmp_path, paths = toy_files
@@ -499,24 +514,6 @@ def test_resolve_dataset_error_names_path():
 
 
 class TestMakeTrainConfig:
-    def args(self, **kwargs):
-        import argparse
-
-        defaults = dict(
-            seed=None, epochs=None, batch_size=None, learning_rate=None,
-            l2_weight=None, adagrad_epsilon=None,
-        )
-        defaults.update(kwargs)
-        return argparse.Namespace(**defaults)
-
-    def test_base_defaults_survive(self):
-        from metaembed.cli import make_train_config
-        from metaembed.optimizer import TrainConfig
-
-        cfg = make_train_config(self.args(), TrainConfig.projection_defaults())
-        assert cfg.learning_rate == 0.01
-        assert cfg.l2_weight == 5e-8
-
     def test_flags_beat_config_file(self, toy_files):
         # the file beats the defaults, and typed flags beat the file
         tmp_path, paths = toy_files
@@ -565,7 +562,9 @@ class TestConfigFile:
     ])
     def test_number_as_text_is_read_as_its_flag(self, toy_files, key, text, field, value):
         tmp_path, paths = toy_files
-        config = {"sets": set_args(paths), "method": "latent_union", "epochs": 2, key: text}
+        config = {
+            "sets": set_args(paths), "method": "latent_union", "epochs": 2, "dim": 2, key: text,
+        }
         out_dir = tmp_path / "out"
         assert main(["build", "--config", self.write(tmp_path, config), "--out", str(out_dir)]) == 0
         assert json.loads((out_dir / "latent_union.json").read_text())[field] == value
@@ -645,6 +644,41 @@ class TestConfigFile:
         assert main() == 0
         assert load_embedding_set(out_dir / "svd.txt").dim == 3
 
+    def test_invalid_json_names_the_file(self, toy_files, capsys):
+        tmp_path, _ = toy_files
+        path = tmp_path / "broken.json"
+        path.write_text('{"sets":\n')
+        rc = main(["build", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not valid JSON: Expecting value: line 2 column 1 (char 9)\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_argparse_error_from_the_file_names_it(self, toy_files, capsys):
+        # typed flags parse alone first, so only a bad file value draws the note
+        tmp_path, paths = toy_files
+        path = self.write(tmp_path, {"sets": set_args(paths), "epochs": True})
+        note = f"error: that value comes from --config {path}"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build", "--config", path, "--method", "latent_union", "--out", "x"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-2:] == [
+            "metaembed build: error: argument --epochs: invalid int value: 'True'", note,
+        ]
+        with pytest.raises(SystemExit):
+            main(["build", "--config", path, "--batch-size", "two", "--out", "x"])
+        assert note not in capsys.readouterr().err
+
+    def test_unread_file_key_is_warned_as_its_flag(self, ab_files, capsys):
+        tmp_path, paths = ab_files
+        path = self.write(tmp_path, {"seed": 3})
+        assert main([
+            "extend", "--sets", *set_args(paths), "--config", path,
+            "--strategy", "projected", "--out", str(tmp_path / "ext"),
+        ]) == 0
+        expected = "warning: no effect on extend --strategy projected: --seed\n"
+        assert capsys.readouterr().err == expected
+
 
 class TestWeights:
     @pytest.mark.parametrize("weight", ["nan", "inf"])
@@ -723,3 +757,108 @@ class TestSidecars:
         assert json.loads((out_dir / "extend.json").read_text()) == {
             "strategy": "random", "seed": 4,
         }
+        # recorded for every strategy, although only random reads it
+        assert main([
+            "extend", "--sets", *set_args(paths), "--seed", "9", "--out", str(out_dir),
+        ]) == 0
+        assert json.loads((out_dir / "extend.json").read_text()) == {
+            "strategy": "projected", "seed": 9,
+        }
+
+
+class TestReads:
+    """Each method, strategy and info reads its listed options; others are warned."""
+
+    def test_every_method_and_strategy_has_a_row(self):
+        from metaembed.cli import _READS
+        from metaembed.ensemble import METHODS
+        from metaembed.oov import STRATEGIES
+
+        assert set(_READS) == {*METHODS, *STRATEGIES, "info"}
+
+    def test_unread_setting_is_not_validated(self, ab_files, capsys):
+        tmp_path, paths = ab_files
+        rc = main([
+            "build", "--sets", *set_args(paths), "--method", "svd", "--dim", "3",
+            "--epochs", "0", "--out", str(tmp_path / "svd"),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().err == "warning: no effect on build --method svd: --epochs\n"
+        assert load_embedding_set(tmp_path / "svd" / "svd.txt").dim == 3
+
+    @pytest.mark.parametrize("command, suffix, flags, named", [
+        (["extend", "--strategy", "random"], "", ["--l2", "-1"], "--l2"),
+        (["extend", "--strategy", "projected"], "", ["--seed", "9"], "--seed"),
+        (["extend", "--strategy", "average"], ":8:colnorm", [],
+         "the weight of set 'a', the colnorm of set 'a'"),
+        (["build", "--method", "latent", "--dim", "3"], ":1:colnorm", [],
+         "the colnorm of set 'a'"),
+    ], ids=["random-l2", "projected-seed", "average-set-fields", "latent-colnorm"])
+    def test_unread_option_changes_no_vectors(self, ab_files, capsys, command, suffix, flags,
+                                              named):
+        tmp_path, paths = ab_files
+        for out, given in (("with", True), ("without", False)):
+            assert main([
+                *command, "--sets", f"a={paths['a']}{suffix if given else ''}", f"b={paths['b']}",
+                "--out", str(tmp_path / out), *(flags if given else []),
+            ]) == 0
+        what = " ".join(command[:3])
+        assert capsys.readouterr().err == f"warning: no effect on {what}: {named}\n"
+        assert outputs(tmp_path / "with") == outputs(tmp_path / "without")
+
+    def test_info_reads_no_weight(self, ab_files, capsys):
+        _, paths = ab_files
+        assert main(["info", "--sets", f"a={paths['a']}:8", f"b={paths['b']}"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: no effect on info: the weight of set 'a'\n"
+        assert "union: 30 words" in captured.out
+
+    def test_help_names_the_readers(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["extend", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--l2 L2_WEIGHT read by latent_union, projected" in help_text
+        assert "--seed SEED read by latent_union, random" in help_text
+        assert "--lr LEARNING_RATE read by latent_union" in help_text
+
+
+class TestTrainingSettings:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--adagrad-epsilon", "inf", "adagrad_epsilon must be > 0 and finite, got inf"),
+        ("--lr", "nan", "learning_rate must be > 0 and finite, got nan"),
+        ("--l2", "inf", "l2_weight must be >= 0 and finite, got inf"),
+    ])
+    def test_non_finite_union_setting_is_an_error(self, toy_files, capsys, flag, value, message):
+        tmp_path, paths = toy_files
+        rc = main([
+            "build", "--sets", *set_args(paths), "--method", "latent_union", "--dim", "2",
+            flag, value, "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_projection_l2_is_an_error(self, ab_files, capsys, value):
+        tmp_path, paths = ab_files
+        rc = main([
+            "extend", "--sets", *set_args(paths), "--l2", value, "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: l2_weight must be >= 0 and finite, got {value}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("dim", ["500", "8", "0", "-2"])
+    def test_union_dim_is_bounded(self, toy_files, capsys, dim):
+        # 12 union words and 3 + 4 summed dims bound dim at 7
+        tmp_path, paths = toy_files
+        rc = main([
+            "build", "--sets", *set_args(paths), "--method", "latent_union", "--dim", dim,
+            "--epochs", "1", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: dim must be in [1, 7], the smaller of the union's words and the sets' "
+            f"summed dims; got {dim} (--dim defaults to 200)\n"
+        )
+        assert not (tmp_path / "x").exists()

@@ -422,6 +422,20 @@ class TestTrainLatentUnion:
         with pytest.raises(ValueError, match="at least 2"):
             train_latent_union([emb], alignment, {"a": 1.0}, 2, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("words, dims, bound", [
+        ("abc", [2, 2], 3),  # the union's words bound dim
+        ("abcde", [1, 1], 2),  # the summed set dims bound dim
+    ])
+    def test_dim_bounded_by_union_words_and_summed_dims(self, words, dims, bound):
+        sets = make_sets(np.random.default_rng(6), words, dims)
+        weights = {"s0": 1.0, "s1": 1.0}
+        config = TrainConfig(epochs=1)
+        meta, _, _, _ = train_latent_union(sets, align(sets), weights, bound, config)
+        assert meta.dim == bound
+        for dim in (bound + 1, 0, -2):
+            with pytest.raises(ValueError, match=rf"^dim must be in \[1, {bound}\], .*got {dim} "):
+                train_latent_union(sets, align(sets), weights, dim, config)
+
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf])
 @pytest.mark.parametrize("method", ["concatenate", "train_latent", "train_latent_union"])

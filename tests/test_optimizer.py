@@ -121,6 +121,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["learning_rate", "l2_weight", "adagrad_epsilon"])
+    def test_non_finite_setting_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be .* and finite, got {value}$"):
+            TrainConfig(**{field: value})
+
     def test_overrides(self):
         cfg = TrainConfig.projection_defaults(epochs=7, seed=9)
         assert cfg.epochs == 7
