@@ -161,6 +161,15 @@ def _read_options(args, specs: list[SetSpec], flag: str | None = None, skip=()) 
     return {field: getattr(args, field) for field in given if field in reads}
 
 
+def _set_record(spec: SetSpec, reads) -> dict:
+    """``spec`` as a sidecar records it: without the set fields ``reads`` lacks."""
+    record = dataclasses.asdict(spec)
+    for option, field in (("weight", "weight"), ("colnorm", "column_normalize")):
+        if option not in reads:
+            del record[field]
+    return record
+
+
 def _load_sets(specs: list[SetSpec]) -> list[EmbeddingSet]:
     return [load_embedding_set(spec.path, name=spec.name) for spec in specs]
 
@@ -223,7 +232,7 @@ def cmd_build(args) -> int:
         "method": args.method,
         "dim": meta.dim,
         "words": len(meta),
-        "sets": [dataclasses.asdict(s) for s in specs],
+        "sets": [_set_record(s, _READS[args.method]) for s in specs],
     }
     if report is not None:
         metadata["final_loss"] = report.final_loss
@@ -262,12 +271,11 @@ def _write_scores(scored: list[tuple[str, str, EvalResult]], out: str | None) ->
 
 
 def cmd_eval_sim(args) -> int:
+    datasets = [load_similarity_dataset(resolve_dataset(p)) for p in args.datasets]
     scored = []
     for emb_path in args.emb:
         emb = load_embedding_set(emb_path)
-        for ds_path in args.datasets:
-            ds = load_similarity_dataset(resolve_dataset(ds_path))
-            scored.append((emb.name, ds.name, eval_similarity(emb, ds)))
+        scored += [(emb.name, ds.name, eval_similarity(emb, ds)) for ds in datasets]
     return _write_scores(scored, args.out)
 
 
@@ -307,8 +315,9 @@ def cmd_sweep(args) -> int:
     if args.param == "dim":
         if args.method == ensemble.CONCAT:
             raise ValueError("dimension sweep does not apply to the concat method")
+        # the bound build applies: latent_union also fits words outside the intersection
         k = sum(s.dim for s in sets)
-        n = len(alignment.intersection)
+        n = len(alignment.union if args.method == ensemble.LATENT_UNION else alignment.intersection)
         bad = [v for v in values if not v.is_integer() or not 1 <= v <= min(n, k)]
         if bad:
             raise ValueError(

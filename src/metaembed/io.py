@@ -8,10 +8,20 @@ Tokens are opaque, non-empty UTF-8 strings without whitespace, and
 saving refuses any other word, which the loader could not read back;
 values are written with 9 significant digits, so a save/load round trip
 preserves matrices to better than 1e-8 for unit-scale vectors.
+
+The first load of a file writes two hidden sidecars beside it, keyed by
+the sha256 of its bytes: the float64 matrix as ``.npy`` (8 bytes per
+value) and the kept words; later loads of the same bytes memory-map the
+matrix instead of parsing.  Sidecars of older content are removed, any
+may be deleted, and an unwritable directory silently gets none.  Loaded
+matrices are read-only.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,6 +31,8 @@ import numpy as np
 
 # Fixed output precision; part of the round-trip contract.
 VALUE_FORMAT = ".9g"
+# Part of every sidecar key: bump it when parsing or the sidecar layout changes.
+_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -83,19 +95,80 @@ def _parse_header(parts: list[str]) -> tuple[int, int] | None:
 
 
 def load_embedding_set(path, name: str | None = None) -> EmbeddingSet:
-    """Load an embedding set from a text vector file.
+    """Load an embedding set from a text vector file, or from its sidecars.
 
     A two-integer first line is a ``"<count> <dim>"`` header only when
     its count equals the number of non-empty lines after it.  The file
     is read twice: once to count records, then once more to parse each
     record straight into its row of a preallocated float64 matrix.
     Words keep file order; duplicate words after the first occurrence
-    are parsed, then dropped and reported through a warning.  Malformed
-    lines raise ``ValueError`` naming the offending line number.
+    are parsed, then dropped and reported through a warning (on every
+    load).  Malformed lines raise ``ValueError`` naming the line number.
     """
     path = Path(path)
-    if name is None:
-        name = path.stem
+    sidecars = _sidecars(path)
+    cached = _read_cache(*sidecars)
+    words, matrix, duplicates = cached or _parse(path)
+    if cached is None:
+        _write_cache(path, sidecars, words, matrix, duplicates)
+    if duplicates:
+        warnings.warn(
+            f"{path}: dropped {duplicates} duplicate word(s), kept first occurrences",
+            stacklevel=2,
+        )
+    matrix.flags.writeable = False
+    return EmbeddingSet(name=path.stem if name is None else name, words=words, matrix=matrix)
+
+
+def _sidecars(path: Path) -> tuple[Path, Path]:
+    """The .npy and .words sidecar paths, keyed by the file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            digest.update(chunk)
+    stem = f".{path.name}.{digest.hexdigest()}-v{_CACHE_VERSION}"
+    return path.with_name(f"{stem}.npy"), path.with_name(f"{stem}.words")
+
+
+def _read_cache(npy: Path, vocab: Path):
+    """The stored (words, memory-mapped matrix, duplicates), or None when a
+    sidecar is missing, truncated or disagrees with the other."""
+    try:
+        head, *words, tail = vocab.read_bytes().decode("utf-8").split("\n")
+        count, duplicates = map(int, head.split())
+        matrix = np.load(npy, mmap_mode="r")
+    except (OSError, ValueError, EOFError):
+        return None
+    if tail or matrix.dtype != np.float64 or matrix.ndim != 2 or not count == len(words) == len(matrix):
+        return None
+    return words, matrix, duplicates
+
+
+def _write_cache(path: Path, sidecars, words, matrix, duplicates) -> None:
+    """Write both sidecars, then remove those of other keys; any ``OSError``,
+    such as from a read-only directory, skips the rest silently."""
+    text = "\n".join([f"{len(words)} {duplicates}", *words, ""]).encode("utf-8")
+    stale = re.compile(re.escape(f".{path.name}.") + r"[0-9a-f]{64}-v\d+\.(npy|words)")
+    try:
+        for target, write in zip(sidecars, (lambda f: np.save(f, matrix), lambda f: f.write(text))):
+            # written whole under a unique temp name, then renamed: no reader
+            # sees half a sidecar (and the umask sets its mode, as for the text)
+            tmp = path.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
+            try:
+                with open(tmp, "xb") as f:
+                    write(f)
+                os.replace(tmp, target)
+            finally:
+                tmp.unlink(missing_ok=True)
+        for other in os.listdir(path.parent):
+            if stale.fullmatch(other) and other not in (s.name for s in sidecars):
+                os.remove(path.parent / other)
+    except OSError:
+        pass
+
+
+def _parse(path: Path):
+    """The kept words, their float64 rows and the dropped-duplicate count."""
     with open(path, encoding="utf-8") as f:
         first = f.readline()
         records = sum(1 for line in f if line.strip())
@@ -149,12 +222,7 @@ def load_embedding_set(path, name: str | None = None) -> EmbeddingSet:
     if not finite.all():
         bad = line_numbers[int(np.flatnonzero(~finite)[0])]
         raise ValueError(f"{path}: line {bad}: non-finite value")
-    if duplicates:
-        warnings.warn(
-            f"{path}: dropped {duplicates} duplicate word(s), kept first occurrences",
-            stacklevel=2,
-        )
-    return EmbeddingSet(name=name, words=words, matrix=matrix)
+    return words, matrix, duplicates
 
 
 def save_embedding_set(emb: EmbeddingSet, path) -> None:

@@ -395,6 +395,31 @@ class TestEvalCommands:
         assert rows[0].startswith("zz,")
         assert rows[1].startswith("toy,")
 
+    def test_eval_sim_loads_each_dataset_once(self, eval_fixture, tmp_path, monkeypatch, capsys):
+        import metaembed.cli as cli
+
+        _, emb_path, sim_path = eval_fixture
+        second = tmp_path / "zz.txt"
+        save_embedding_set(load_embedding_set(emb_path, name="zz"), second)
+        other = tmp_path / "other.txt"
+        other.write_text("cat bus 2\ndog car 3\ncat dog 8\n", encoding="utf-8")
+        loaded = []
+        load = cli.load_similarity_dataset
+        monkeypatch.setattr(cli, "load_similarity_dataset", lambda p: loaded.append(p) or load(p))
+        rc = main([
+            "eval-sim", "--emb", str(emb_path), str(second),
+            "--datasets", str(sim_path), str(other),
+        ])
+        assert rc == 0
+        assert [p.name for p in loaded] == ["pairs.txt", "other.txt"]
+        assert capsys.readouterr().out == (
+            "embedding,dataset,score,oov_count,evaluated\n"
+            "toy,pairs,100.0000,0,3\n"
+            "toy,other,86.6025,0,3\n"
+            "zz,pairs,100.0000,0,3\n"
+            "zz,other,86.6025,0,3\n"
+        )
+
     def test_eval_sim_dataset_root_env(self, eval_fixture, monkeypatch, capsys):
         tmp_path, emb_path, sim_path = eval_fixture
         monkeypatch.setenv("METAEMBED_DATA_DIR", str(tmp_path))
@@ -482,6 +507,26 @@ class TestSweep:
         ])
         assert rc == 1
         assert "dim values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, code", [("30", 0), ("40", 0), ("41", 1)])
+    def test_latent_union_dim_bounded_by_union(self, tmp_path, capsys, value, code):
+        # 20 shared and 40 union words over two 20-dim sets: build accepts a
+        # dim up to min(union words, summed dims) = 40, and so must the sweep
+        rng = np.random.default_rng(3)
+        words = [f"w{i:02d}" for i in range(40)]
+        sets = []
+        for name, vocab in (("a", words[:30]), ("b", words[10:])):
+            save_embedding_set(EmbeddingSet(name, vocab, rng.normal(size=(30, 20))),
+                               tmp_path / f"{name}.txt")
+            sets.append(f"{name}={tmp_path / name}.txt")
+        dev = tmp_path / "dev.txt"
+        dev.write_text("w00 w39 9\nw12 w20 5\nw05 w33 1\n", encoding="utf-8")
+        common = ["--sets", *sets, "--method", "latent_union", "--epochs", "2"]
+        build = main(["build", *common, "--dim", value, "--out", str(tmp_path / "out")])
+        sweep = main(["sweep", *common, "--param", "dim", "--values", value, "--dev", str(dev)])
+        assert (build, sweep) == (code, code)
+        err = capsys.readouterr().err
+        assert ("dim values must be integers in [1, 40], got [41.0]" in err) == bool(code)
 
     def test_unused_options_warned(self, toy_files, capsys):
         tmp_path, paths = toy_files
@@ -732,6 +777,23 @@ class TestSidecars:
         assert "seed" not in sidecar
         assert {"method", "dim", "words", "sets"} <= set(sidecar)
 
+    @pytest.mark.parametrize("method, recorded", [
+        ("svd", {"name", "path", "weight", "column_normalize"}),
+        ("latent", {"name", "path", "weight"}),
+        ("latent_union", {"name", "path", "weight"}),
+    ])
+    def test_records_only_the_set_fields_read(self, toy_files, capsys, method, recorded):
+        tmp_path, paths = toy_files
+        out_dir = tmp_path / method
+        assert main([
+            "build", "--sets", f"alpha={paths['alpha']}:2:colnorm", f"beta={paths['beta']}",
+            "--method", method, "--dim", "3", "--epochs", "1", "--out", str(out_dir),
+        ]) == 0
+        sets = json.loads((out_dir / f"{method}.json").read_text())["sets"]
+        assert [set(s) for s in sets] == [recorded, recorded]
+        assert sets[0]["weight"] == 2.0
+        assert sets[0].get("column_normalize", True) is True
+
     def test_latent_union_records_every_training_setting(self, toy_files):
         tmp_path, paths = toy_files
         out_dir = tmp_path / "union"
@@ -862,3 +924,40 @@ class TestTrainingSettings:
             f"summed dims; got {dim} (--dim defaults to 200)\n"
         )
         assert not (tmp_path / "x").exists()
+
+
+class TestLoadCache:
+    def test_cold_and_warm_runs_are_byte_identical(self, tmp_path, monkeypatch):
+        import metaembed.io as io
+
+        rng = np.random.default_rng(7)
+        words = [f"w{i:03d}" for i in range(400)]
+        sets = []
+        for name, vocab, dim in (("a", words, 30), ("b", words[40:], 25), ("c", words[:350], 20)):
+            emb = EmbeddingSet(name, vocab, rng.normal(size=(len(vocab), dim)))
+            save_embedding_set(emb, tmp_path / f"{name}.txt")
+            sets.append(f"{name}={tmp_path / name}.txt:1.5:colnorm")
+        dev = tmp_path / "dev.txt"
+        dev.write_text("".join(f"w{i:03d} w{i + 50:03d} {i % 7}\n" for i in range(40, 340, 9)),
+                       encoding="utf-8")
+
+        def run(out_dir):
+            assert main(["build", "--sets", *sets, "--method", "svd", "--dim", "16",
+                         "--out", str(out_dir)]) == 0
+            assert main(["eval-sim", "--emb", str(out_dir / "svd.txt"), "--datasets", str(dev),
+                         "--out", str(out_dir / "sim.csv")]) == 0
+            return {p.name: p.read_bytes() for p in out_dir.iterdir() if not p.name.startswith(".")}
+
+        cold = run(tmp_path / "cold")
+        assert set(cold) == {"svd.txt", "svd.json", "sim.csv"}
+        parsed = []
+        parse = io._parse
+        monkeypatch.setattr(io, "_parse", lambda path: parsed.append(path.name) or parse(path))
+        warm = run(tmp_path / "warm")
+        assert warm == cold
+        # the inputs came from their sidecars; only the new svd.txt was parsed
+        assert parsed == ["svd.txt"]
+        assert main(["eval-sim", "--emb", str(tmp_path / "cold" / "svd.txt"), "--datasets",
+                     str(dev), "--out", str(tmp_path / "warm.csv")]) == 0
+        assert parsed == ["svd.txt"]
+        assert (tmp_path / "warm.csv").read_bytes() == cold["sim.csv"]

@@ -1,11 +1,14 @@
+import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaembed import io
 from metaembed.io import EmbeddingSet, load_embedding_set, save_embedding_set
 
 
@@ -94,6 +97,114 @@ class TestLoad:
         finally:
             tracemalloc.stop()
         assert peak < 2 * loaded.matrix.nbytes
+
+
+def sidecars(path):
+    """The names of the hidden cache files beside ``path``."""
+    return sorted(p.name for p in path.parent.iterdir() if p.name.startswith(f".{path.name}."))
+
+
+def refuse_parsing(monkeypatch):
+    """From now on a load succeeds only from the sidecars."""
+    monkeypatch.setattr(io, "_parse", lambda path: pytest.fail(f"{path} was parsed"))
+
+
+def count_parses(monkeypatch):
+    parsed = []
+    parse = io._parse
+    monkeypatch.setattr(io, "_parse", lambda path: parsed.append(path) or parse(path))
+    return parsed
+
+
+class TestCache:
+    @pytest.fixture
+    def path(self, tmp_path):
+        rng = np.random.default_rng(5)
+        emb = EmbeddingSet("r", [f"w{i}" for i in range(300)], rng.normal(size=(300, 7)))
+        save_embedding_set(emb, tmp_path / "vectors.txt")
+        return tmp_path / "vectors.txt"
+
+    def test_warm_load_equals_cold_load(self, path, monkeypatch):
+        cold = load_embedding_set(path, name="x")
+        assert [n.rsplit(".", 1)[1] for n in sidecars(path)] == ["npy", "words"]
+        refuse_parsing(monkeypatch)
+        warm = load_embedding_set(path, name="x")
+        assert (warm.name, warm.words) == (cold.name, cold.words)
+        assert warm.matrix.dtype == np.float64
+        assert np.array_equal(warm.matrix, cold.matrix)
+
+    def test_loaded_matrix_is_read_only(self, path, monkeypatch):
+        cold = load_embedding_set(path)
+        refuse_parsing(monkeypatch)
+        warm = load_embedding_set(path)
+        for emb in (cold, warm):
+            with pytest.raises(ValueError, match="read-only"):
+                emb.matrix[0, 0] = 1.0
+
+    def test_duplicate_warning_repeats_on_a_hit(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "a 1 2\nb 3 4\na 9 9\nb 0 0\n")
+        with pytest.warns(UserWarning, match="dropped 2 duplicate"):
+            load_embedding_set(path)
+        refuse_parsing(monkeypatch)
+        with pytest.warns(UserWarning, match="dropped 2 duplicate"):
+            warm = load_embedding_set(path)
+        assert warm.words == ["a", "b"]
+        np.testing.assert_array_equal(warm.matrix, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_same_size_edit_with_old_mtime_is_reparsed(self, tmp_path):
+        path = write(tmp_path, "a 1 2\nb 3 4\n")
+        load_embedding_set(path)
+        stat = path.stat()
+        path.write_text("a 1 2\nb 3 5\n", encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        np.testing.assert_array_equal(load_embedding_set(path).row("b"), [3.0, 5.0])
+        # the first content's sidecars are replaced, not kept beside the new ones
+        assert len(sidecars(path)) == 2
+
+    def test_other_files_sidecars_are_kept(self, tmp_path):
+        # ".a.txt." also begins the sidecar names of "a.txt.b.txt"
+        first = write(tmp_path, "a 1\n", name="a.txt")
+        second = write(tmp_path, "b 2\n", name="a.txt.b.txt")
+        load_embedding_set(second)
+        first.write_text("a 3\n", encoding="utf-8")
+        load_embedding_set(first)
+        load_embedding_set(first)
+        assert len(sidecars(second)) == 2
+
+    @pytest.mark.parametrize("damage", ["truncate npy", "empty npy", "drop a word", "count"])
+    def test_damaged_sidecar_falls_back_to_parsing(self, path, monkeypatch, damage):
+        cold = load_embedding_set(path)
+        npy, vocab = (path.parent / name for name in sidecars(path))
+        if damage == "truncate npy":
+            npy.write_bytes(npy.read_bytes()[:-8])
+        elif damage == "empty npy":
+            npy.write_bytes(b"")
+        elif damage == "drop a word":
+            vocab.write_text(vocab.read_text(encoding="utf-8").replace("w7\n", ""), encoding="utf-8")
+        else:
+            text = vocab.read_text(encoding="utf-8")
+            vocab.write_text(text.replace("300 0\n", "299 0\n", 1), encoding="utf-8")
+        parsed = count_parses(monkeypatch)
+        again = load_embedding_set(path)
+        assert parsed == [path]
+        assert again.words == cold.words
+        assert np.array_equal(again.matrix, cold.matrix)
+        # the reparse rewrites whole sidecars
+        refuse_parsing(monkeypatch)
+        assert np.array_equal(load_embedding_set(path).matrix, cold.matrix)
+
+    def test_unwritable_directory_still_loads(self, path, monkeypatch):
+        # root ignores chmod, so the rename that would publish a sidecar fails instead
+        def fail(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(os, "replace", fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emb = load_embedding_set(path)
+        assert len(emb) == 300
+        assert sidecars(path) == []  # no temp file is left either
 
 
 class TestSave:
