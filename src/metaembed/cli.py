@@ -46,7 +46,8 @@ _FLAGS = {
     "epochs": "--epochs", "seed": "--seed", "adagrad_epsilon": "--adagrad-epsilon",
 }
 # The options each method, extend strategy and info reads; ``weight`` and
-# ``colnorm`` are the set fields.  Any other option given is warned about.
+# ``colnorm`` are the set options of ``_SET_FIELDS``.  Any other option given
+# is warned about.
 _READS = {
     ensemble.CONCAT: ("weight", "colnorm"),
     ensemble.SVD: ("dim", "weight", "colnorm"),
@@ -57,6 +58,8 @@ _READS = {
     oov.PROJECTED: ("l2_weight",),
     "info": (),
 }
+# The set fields a spec can give, by their name in ``_READS``.
+_SET_FIELDS = {"weight": "weight", "colnorm": "column_normalize"}
 
 
 @dataclass
@@ -153,10 +156,10 @@ def _read_options(args, specs: list[SetSpec], flag: str | None = None, skip=()) 
     given = [field for field in ("dim", *_TRAIN_FIELDS) if getattr(args, field, None) is not None]
     unread = [_FLAGS[field] for field in given if field not in reads]
     for s in specs:
-        if s.weight != 1.0 and "weight" not in reads:
-            unread.append(f"the weight of set {s.name!r}")
-        if s.column_normalize and "colnorm" not in reads:
-            unread.append(f"the colnorm of set {s.name!r}")
+        unread += [
+            f"the {option} of set {s.name!r}" for option, field in _SET_FIELDS.items()
+            if option not in reads and getattr(s, field) != getattr(SetSpec, field)
+        ]
     _warn(f"{args.command} --{flag} {key}" if flag else key, unread)
     return {field: getattr(args, field) for field in given if field in reads}
 
@@ -164,7 +167,7 @@ def _read_options(args, specs: list[SetSpec], flag: str | None = None, skip=()) 
 def _set_record(spec: SetSpec, reads) -> dict:
     """``spec`` as a sidecar records it: without the set fields ``reads`` lacks."""
     record = dataclasses.asdict(spec)
-    for option, field in (("weight", "weight"), ("colnorm", "column_normalize")):
+    for option, field in _SET_FIELDS.items():
         if option not in reads:
             del record[field]
     return record

@@ -12,9 +12,10 @@ preserves matrices to better than 1e-8 for unit-scale vectors.
 The first load of a file writes two hidden sidecars beside it, keyed by
 the sha256 of its bytes: the float64 matrix as ``.npy`` (8 bytes per
 value) and the kept words; later loads of the same bytes memory-map the
-matrix instead of parsing.  Sidecars of older content are removed, any
-may be deleted, and an unwritable directory silently gets none.  Loaded
-matrices are read-only.
+matrix instead of parsing.  Sidecars of older content, and those of a
+file that is saved over, are removed; any may be deleted.  A directory
+that is unwritable, or whose disk would keep less than three times the
+sidecars' size free, silently gets none.  Loaded matrices are read-only.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import shutil
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -109,7 +111,9 @@ def load_embedding_set(path, name: str | None = None) -> EmbeddingSet:
     sidecars = _sidecars(path)
     cached = _read_cache(*sidecars)
     words, matrix, duplicates = cached or _parse(path)
-    if cached is None:
+    # the key is checked again, so a file changed while it was parsed is not
+    # stored under the digest of its earlier bytes
+    if cached is None and _sidecars(path) == sidecars:
         _write_cache(path, sidecars, words, matrix, duplicates)
     if duplicates:
         warnings.warn(
@@ -124,7 +128,7 @@ def _sidecars(path: Path) -> tuple[Path, Path]:
     """The .npy and .words sidecar paths, keyed by the file's bytes."""
     digest = hashlib.sha256()
     with open(path, "rb") as f:
-        while chunk := f.read(1 << 20):
+        while chunk := f.read(1 << 16):
             digest.update(chunk)
     stem = f".{path.name}.{digest.hexdigest()}-v{_CACHE_VERSION}"
     return path.with_name(f"{stem}.npy"), path.with_name(f"{stem}.words")
@@ -145,11 +149,14 @@ def _read_cache(npy: Path, vocab: Path):
 
 
 def _write_cache(path: Path, sidecars, words, matrix, duplicates) -> None:
-    """Write both sidecars, then remove those of other keys; any ``OSError``,
-    such as from a read-only directory, skips the rest silently."""
+    """Write both sidecars, then remove those of other keys.  Nothing is
+    written when the disk would keep less than three times their size free,
+    which leaves room for the command's own outputs; any ``OSError``, such
+    as from a read-only directory, skips the rest silently."""
     text = "\n".join([f"{len(words)} {duplicates}", *words, ""]).encode("utf-8")
-    stale = re.compile(re.escape(f".{path.name}.") + r"[0-9a-f]{64}-v\d+\.(npy|words)")
     try:
+        if shutil.disk_usage(path.parent).free < 4 * (matrix.nbytes + len(text)):
+            return
         for target, write in zip(sidecars, (lambda f: np.save(f, matrix), lambda f: f.write(text))):
             # written whole under a unique temp name, then renamed: no reader
             # sees half a sidecar (and the umask sets its mode, as for the text)
@@ -160,8 +167,18 @@ def _write_cache(path: Path, sidecars, words, matrix, duplicates) -> None:
                 os.replace(tmp, target)
             finally:
                 tmp.unlink(missing_ok=True)
+        _remove_sidecars(path, keep=[s.name for s in sidecars])
+    except OSError:
+        pass
+
+
+def _remove_sidecars(path: Path, keep=()) -> None:
+    """Remove the sidecars of ``path`` except those named in ``keep``; any
+    ``OSError`` stops the removal silently."""
+    pattern = re.compile(re.escape(f".{path.name}.") + r"[0-9a-f]{64}-v\d+\.(npy|words)")
+    try:
         for other in os.listdir(path.parent):
-            if stale.fullmatch(other) and other not in (s.name for s in sidecars):
+            if pattern.fullmatch(other) and other not in keep:
                 os.remove(path.parent / other)
     except OSError:
         pass
@@ -226,15 +243,17 @@ def _parse(path: Path):
 
 
 def save_embedding_set(emb: EmbeddingSet, path) -> None:
-    """Write ``emb`` to ``path`` as plain text, one record per line; an
-    empty word, a word containing whitespace, or a non-finite value
-    raises ``ValueError`` naming the word before the file opens."""
+    """Write ``emb`` to ``path`` as plain text, one record per line, and
+    remove the sidecars of the file it replaces; an empty word, a word
+    containing whitespace, or a non-finite value raises ``ValueError``
+    naming the word before the file opens."""
     unreadable = next((w for w in emb.words if w.split() != [w]), None)
     if unreadable is not None:
         raise ValueError(f"{path}: word {unreadable!r} is empty or contains whitespace")
     bad = np.flatnonzero(~np.isfinite(emb.matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: non-finite value for word {emb.words[bad[0]]!r}")
+    _remove_sidecars(Path(path))  # they describe the bytes being replaced
     row_format = " ".join(["%" + VALUE_FORMAT] * emb.dim)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for word, row in zip(emb.words, emb.matrix):

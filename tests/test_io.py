@@ -1,5 +1,6 @@
 import os
 import re
+import shutil
 import tracemalloc
 import warnings
 
@@ -205,6 +206,45 @@ class TestCache:
             emb = load_embedding_set(path)
         assert len(emb) == 300
         assert sidecars(path) == []  # no temp file is left either
+
+    def test_nearly_full_disk_gets_no_sidecars(self, path, monkeypatch):
+        # 300 x 7 float64 values and the word list: 17 kB of sidecars
+        size = 300 * 7 * 8 + len("300 0\n") + sum(len(f"w{i}\n") for i in range(300))
+
+        def free(space):
+            monkeypatch.setattr(io.shutil, "disk_usage", lambda p: shutil._ntuple_diskusage(
+                10 ** 12, 10 ** 12 - space, space))
+
+        free(4 * size - 1)
+        assert len(load_embedding_set(path)) == 300
+        assert sidecars(path) == []
+        free(4 * size)
+        load_embedding_set(path)
+        assert len(sidecars(path)) == 2
+
+    def test_file_changed_while_parsed_is_not_stored(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "a 1 2\nb 3 4\n")
+        parse = io._parse
+
+        def parse_then_rewrite(p):
+            parsed = parse(p)
+            p.write_text("a 1 2\nb 3 5\n", encoding="utf-8")
+            return parsed
+
+        monkeypatch.setattr(io, "_parse", parse_then_rewrite)
+        np.testing.assert_array_equal(load_embedding_set(path).row("b"), [3.0, 4.0])
+        assert sidecars(path) == []
+        monkeypatch.setattr(io, "_parse", parse)
+        np.testing.assert_array_equal(load_embedding_set(path).row("b"), [3.0, 5.0])
+
+    def test_saving_over_a_file_removes_its_sidecars(self, path, tmp_path):
+        # ".vectors.txt." also begins the sidecar names of "vectors.txt.b.txt"
+        other = write(tmp_path, "a 1\n", name="vectors.txt.b.txt")
+        load_embedding_set(path)
+        load_embedding_set(other)
+        save_embedding_set(EmbeddingSet("s", ["a"], [[1.0]]), path)
+        assert sidecars(path) == sidecars(other)
+        assert len(sidecars(other)) == 2
 
 
 class TestSave:
