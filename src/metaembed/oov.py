@@ -15,7 +15,8 @@ words as the ridge regression
 
 with X and Y the shared words' source and target rows.  The penalty
 counts once over all shared words.  The objective is convex, so the fit
-is its closed-form minimizer, from one least-squares solve.
+is its closed-form minimizer, read off the eigenpairs (e, V) of the
+source Gram matrix X^T X as M^T = V diag(1 / (e + l2)) V^T X^T Y.
 """
 
 from __future__ import annotations
@@ -68,9 +69,12 @@ def train_projection(
     """Fit a linear map from ``source`` space to ``target`` space on the
     words the two sets share.
 
-    Only ``config.l2_weight`` is read.  Stacking ``sqrt(l2) * I`` under
-    the source rows (and zeros under the targets) turns the ridge
-    problem into one least-squares solve, without forming ``X^T X``.
+    Only ``config.l2_weight`` is read.  The fit uses the eigenpairs of
+    the Gram matrix ``X^T X``, as ``linalg.truncated_svd`` does, cut at
+    its rounding noise, so with ``l2 = 0`` a rank-deficient source gets
+    the minimum-norm map.  ``X`` is first scaled by an exact power of
+    two (``l2`` by its square): its Gram matrix then neither underflows
+    nor overflows.
     ``train_loss`` is the per-word squared error at the solution.
     """
     if config is None:
@@ -84,10 +88,18 @@ def train_projection(
     x = source.matrix[[source.index[w] for w in shared]]
     y = target.matrix[[target.index[w] for w in shared]]
 
-    a = np.vstack([x, np.sqrt(config.l2_weight) * np.eye(source.dim)])
-    b = np.vstack([y, np.zeros((source.dim, target.dim))])
-    m = np.linalg.lstsq(a, b, rcond=None)[0].T
-    loss, _ = projection_loss_grad(m, x, y, config.l2_weight)
+    exponent = np.frexp(np.abs(x).max())[1]
+    np.ldexp(x, -exponent, out=x)
+    with np.errstate(over="ignore"):
+        l2 = np.ldexp(config.l2_weight, -2 * exponent)  # inf: the ridge limit M = 0
+    eigvals, eigvecs = np.linalg.eigh(x.T @ x)
+    keep = eigvals > eigvals[-1] * max(x.shape) * np.finfo(np.float64).eps
+    v = eigvecs[:, keep]
+    m = ((v / (eigvals[keep] + l2)) @ (v.T @ (x.T @ y))).T
+    # Only train_loss reads this; huge rows may overflow it to inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, _ = projection_loss_grad(m, x, y, l2)
+    m = np.ldexp(m, -exponent)
     return ProjectionMap(
         source_set=source.name, target_set=target.name, matrix=m,
         train_loss=loss / len(shared),

@@ -340,6 +340,29 @@ class TestExtend:
         expected = "warning: no effect on extend --strategy projected: --seed\n"
         assert capsys.readouterr().err == expected
 
+    def test_huge_projected_sets_print_no_warning(self, tmp_path, capsys):
+        # The fit's train_loss overflows on such rows; no command reads it.
+        rng = np.random.default_rng(4)
+        words = [f"w{i:02d}" for i in range(80)]
+        paths = {}
+        for name, vocab, dim in (("a", words[:70], 4), ("b", words[10:], 5)):
+            paths[name] = tmp_path / f"{name}.txt"
+            emb = EmbeddingSet(name, vocab, rng.normal(size=(len(vocab), dim)) * 1e200)
+            save_embedding_set(emb, paths[name])
+        out_dir = tmp_path / "huge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "extend", "--sets", *set_args(paths), "--strategy", "projected",
+                "--out", str(out_dir),
+            ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [line.split()[0] for line in captured.out.splitlines()] == ["wrote"] * 2
+        for name in ("a", "b"):
+            assert len(load_embedding_set(out_dir / f"{name}.extended.txt")) == 80
+
     def test_average_strategy_rows_identical(self, partial_files):
         tmp_path, paths = partial_files
         out_dir = tmp_path / "avg"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import central_difference, max_relative_error
@@ -75,6 +77,64 @@ class TestTrainProjection:
         assert pm.train_loss == pytest.approx(loss / 50)
         oracle = np.linalg.solve(x.T @ x + l2 * np.eye(4), x.T @ y).T
         np.testing.assert_allclose(pm.matrix, oracle, atol=1e-12)
+
+    @staticmethod
+    def stacked_lstsq(x, y, l2):
+        """Reference ridge fit: one least-squares solve with sqrt(l2) * I
+        stacked under the source rows and zeros under the targets."""
+        a = np.vstack([x, np.sqrt(l2) * np.eye(x.shape[1])])
+        b = np.vstack([y, np.zeros((x.shape[1], y.shape[1]))])
+        return np.linalg.lstsq(a, b, rcond=None)[0].T
+
+    @pytest.mark.parametrize("l2", [0.0, 5e-8, 7.5])
+    @pytest.mark.parametrize("condition", [1.0, 1e3])
+    def test_matches_stacked_lstsq(self, l2, condition):
+        rng = np.random.default_rng(11)
+        words = [f"w{i:03d}" for i in range(120)]
+        q, _ = np.linalg.qr(rng.normal(size=(120, 7)))
+        r, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+        x = q @ np.diag(np.geomspace(1.0, 1.0 / condition, 7)) @ r.T * 3.0
+        y = x @ rng.normal(size=(7, 4)) + 0.1 * rng.normal(size=(120, 4))
+        assert np.linalg.cond(x) == pytest.approx(condition)
+        source, target = EmbeddingSet("src", words, x), EmbeddingSet("tgt", words, y)
+        pm = train_projection(source, target, TrainConfig(l2_weight=l2))
+        assert pm.matrix.shape == (4, 7)
+        np.testing.assert_allclose(pm.matrix, self.stacked_lstsq(x, y, l2), rtol=1e-8)
+
+    def test_duplicated_column_gives_the_pinv_map(self):
+        rng = np.random.default_rng(12)
+        words = [f"w{i:02d}" for i in range(40)]
+        x = rng.normal(size=(40, 4))
+        x[:, 3] = x[:, 1]
+        y = rng.normal(size=(40, 3))
+        source, target = EmbeddingSet("src", words, x), EmbeddingSet("tgt", words, y)
+        pm = train_projection(source, target, TrainConfig(l2_weight=0.0))
+        np.testing.assert_allclose(pm.matrix, (np.linalg.pinv(x) @ y).T, rtol=1e-8)
+        np.testing.assert_allclose(pm.matrix[:, 1], pm.matrix[:, 3], rtol=1e-8)
+
+    def test_tiny_sets_recover_the_planted_map(self):
+        # Unscaled, this source's Gram matrix underflows to zero.
+        source, target, b = linear_pair(seed=13)
+        tiny_source = EmbeddingSet("src", source.words, source.matrix * 1e-200)
+        tiny_target = EmbeddingSet("tgt", target.words, target.matrix * 1e-200)
+        pm = train_projection(tiny_source, tiny_target, TrainConfig(l2_weight=0.0))
+        np.testing.assert_allclose(pm.matrix, b, rtol=1e-9)
+        # The scaled penalty overflows: the ridge limit, M = 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pm = train_projection(tiny_source, tiny_target, TrainConfig(l2_weight=7.5))
+        assert not pm.matrix.any()
+
+    def test_zero_source_gives_a_zero_map(self):
+        words = [f"w{i:02d}" for i in range(10)]
+        source = EmbeddingSet("src", words, np.zeros((10, 3)))
+        target = EmbeddingSet("tgt", words, np.ones((10, 2)))
+        for l2 in (0.0, 7.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pm = train_projection(source, target, TrainConfig(l2_weight=l2))
+            assert not pm.matrix.any()
+            assert pm.train_loss == pytest.approx(2.0)
 
     def test_too_few_shared_words(self):
         rng = np.random.default_rng(4)
