@@ -15,7 +15,9 @@ per-set targets t_i,
 Over the shared vocabulary its infimum is closed-form: scaling x up and
 the maps down drives the penalty to 0, and the data term is a rank-dim
 fit of [sqrt(gamma_1) T_1 ...] (Eckart-Young), which ``train_latent``
-returns.  ``train_latent_union`` minimizes it by mini-batch AdaGrad.
+returns.  ``train_latent_union`` starts from that fit: every other word
+gets the least-squares meta-vector over the sets that hold it, and each
+missing target is its image; mini-batch AdaGrad then refines the start.
 Losses are reported as per-word means, excluding the penalty term.
 """
 
@@ -132,6 +134,61 @@ def prediction_loss_grads(
     return data_loss, grad_meta, grad_maps, grad_targets
 
 
+def _data_loss(meta, maps, targets, gammas) -> float:
+    """The objective's summed squared error, penalty excluded."""
+    loss = 0.0
+    for m, t, gamma in zip(maps, targets, gammas):
+        residual = meta @ m.T - t
+        loss += gamma * float(np.sum(residual * residual))
+    return loss
+
+
+def _shared_fit(sets, alignment, gammas, dim):
+    """Each set's shared rows, their meta-vectors ``u s`` and the maps
+    ``v_i / sqrt(gamma_i)``, as ``train_latent`` documents."""
+    if not alignment.intersection:
+        raise ValueError("empty shared vocabulary")
+    shared = alignment.presence.all(axis=0)
+    targets = [s.matrix[alignment.rows_for(s)[shared]] for s in sets]
+    result = truncated_svd(np.hstack([np.sqrt(g) * t for g, t in zip(gammas, targets)]), dim)
+    bounds = np.cumsum([0, *(s.dim for s in sets)])
+    maps = [result.v_d[a:b] / np.sqrt(g) for a, b, g in zip(bounds, bounds[1:], gammas)]
+    return targets, result.u_d * result.singular_values, maps
+
+
+def _union_start(sets, alignment, gammas, maps, shared_meta):
+    """Meta-vectors and targets over the union, given the shared fit.
+
+    With the maps fixed, each word's meta-vector is the minimum-norm
+    least-squares fit of its known targets: one solve per presence
+    pattern, whose normal matrix is sum_i gamma_i M_i^T M_i over the
+    pattern's sets.  For shared words that matrix is the identity, and
+    they keep ``shared_meta``.  Each missing target is its word's
+    meta-vector mapped into the set's space; known rows are copies.
+    """
+    present = alignment.presence
+    targets = [s.matrix[alignment.rows_for(s)] for s in sets]
+    meta = np.zeros((len(alignment.union), shared_meta.shape[1]))
+    for gamma, m, t, known in zip(gammas, maps, targets, present):
+        meta[known] += gamma * (t[known] @ m)  # right-hand sides of the normal equations
+    grams = [gamma * (m.T @ m) for gamma, m in zip(gammas, maps)]
+    patterns, inverse = np.unique(present.T, axis=0, return_inverse=True)
+    for j, pattern in enumerate(patterns):
+        rows = inverse.reshape(-1) == j
+        if pattern.all():
+            meta[rows] = shared_meta
+            continue
+        eigvals, eigvecs = np.linalg.eigh(sum(g for g, p in zip(grams, pattern) if p))
+        # Cut as truncated_svd does: directions the pattern's sets span
+        # only to rounding get no weight.
+        keep = eigvals > eigvals[-1] * len(eigvals) * np.finfo(np.float64).eps
+        v = eigvecs[:, keep]
+        meta[rows] = (meta[rows] @ v / eigvals[keep]) @ v.T
+    for m, t, known in zip(maps, targets, present):
+        t[~known] = meta[~known] @ m.T
+    return meta, targets
+
+
 def train_latent(
     sets: list[EmbeddingSet],
     alignment: VocabAlignment,
@@ -149,17 +206,9 @@ def train_latent(
     per-word loss with no epochs.  ``config`` is not read.  Raises
     ``ValueError`` when ``dim`` exceeds the rank of the hstack.
     """
-    if not alignment.intersection:
-        raise ValueError("empty shared vocabulary")
-    shared = alignment.presence.all(axis=0)
     gammas = [_set_weight(weights, s.name) for s in sets]
-    targets = [s.matrix[alignment.rows_for(s)[shared]] for s in sets]
-    result = truncated_svd(np.hstack([np.sqrt(g) * t for g, t in zip(gammas, targets)]), dim)
-    meta = result.u_d * result.singular_values
-    bounds = np.cumsum([0, *(s.dim for s in sets)])
-    maps = [result.v_d[a:b] / np.sqrt(g) for a, b, g in zip(bounds, bounds[1:], gammas)]
-    loss, *_ = prediction_loss_grads(meta, maps, targets, gammas, 0.0)
-    report = TrainReport(final_loss=loss / len(meta))
+    targets, meta, maps = _shared_fit(sets, alignment, gammas, dim)
+    report = TrainReport(final_loss=_data_loss(meta, maps, targets, gammas) / len(meta))
     maps_by_name = {s.name: m for s, m in zip(sets, maps)}
     return EmbeddingSet(LATENT, alignment.intersection, meta), maps_by_name, report
 
@@ -174,16 +223,23 @@ def train_latent_union(
     dim: int = DEFAULT_DIM,
     config: TrainConfig | None = None,
 ) -> tuple[EmbeddingSet, list[EmbeddingSet], dict[str, np.ndarray], TrainReport]:
-    """Learn meta-vectors over the vocabulary union by mini-batch AdaGrad.
+    """Meta-vectors over the vocabulary union: a closed-form start
+    refined by mini-batch AdaGrad.
 
-    Meta-vectors and maps start from small random values.  Words
-    missing from a set get randomly initialized vectors in that set's
-    space which are updated jointly with them; vectors of known words
-    are never modified.  Raises ``ValueError`` unless ``1 <= dim <=
-    min(union words, summed set dims)``, and at the first epoch whose
-    loss is not finite.  Returns the meta-embeddings (named
-    ``latent_union``), each input set extended to the union vocabulary,
-    the learned maps as in ``train_latent``, and the training report.
+    The start keeps ``train_latent``'s maps and shared meta-vectors,
+    gives every other word its minimum-norm least-squares meta-vector
+    over the sets that hold it, and fills each vector a set is missing
+    with that meta-vector's image.  Where the shared words cannot
+    support ``dim`` (none shared, ``dim`` above their rank, or Gram
+    overflow), all three start from small seeded random values instead.
+    Known vectors are never modified.  The start's per-word loss,
+    ``start_loss``, counts as epoch 0 for the plateau rule, and the
+    start is returned unless the refined loss is lower.  Raises
+    ``ValueError`` unless ``1 <= dim <= min(union words, summed set
+    dims)``, and at the first epoch whose loss is not finite.  Returns
+    the meta-embeddings (named ``latent_union``), each input set
+    extended to the union vocabulary, the maps as in ``train_latent``,
+    and the training report.
     """
     if config is None:
         config = TrainConfig.union_defaults()
@@ -195,23 +251,30 @@ def train_latent_union(
     if not 1 <= dim <= bound:
         raise ValueError(f"dim must be in [1, {bound}], the smaller of the union's words and "
                          f"the sets' summed dims; got {dim} (--dim defaults to {DEFAULT_DIM})")
-    rng = seeded_rng(config.seed)
-    meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(vocab), dim))
-    maps = [rng.uniform(-INIT_RANGE, INIT_RANGE, (s.dim, dim)) for s in sets]
-    targets, trainable = [], []
-    for s in sets:
-        rows = alignment.rows_for(s)
-        missing = rows < 0
-        t = s.matrix[rows]  # rows of -1 are placeholders, drawn next
-        t[missing] = rng.uniform(-INIT_RANGE, INIT_RANGE, (int(missing.sum()), s.dim))
-        targets.append(t)
-        trainable.append(missing)
+    trainable = [alignment.rows_for(s) < 0 for s in sets]
+    try:
+        _, shared_meta, maps = _shared_fit(sets, alignment, gammas, dim)
+    except ValueError:  # no shared word, dim above their rank, or Gram overflow
+        report = TrainReport(start="random")
+        rng = seeded_rng(config.seed)
+        meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(vocab), dim))
+        maps = [rng.uniform(-INIT_RANGE, INIT_RANGE, (s.dim, dim)) for s in sets]
+        targets = []
+        for s, missing in zip(sets, trainable):
+            t = s.matrix[alignment.rows_for(s)]  # rows of -1 are placeholders, drawn next
+            t[missing] = rng.uniform(-INIT_RANGE, INIT_RANGE, (int(missing.sum()), s.dim))
+            targets.append(t)
+    else:
+        report = TrainReport(start="closed_form")
+        meta, targets = _union_start(sets, alignment, gammas, maps, shared_meta)
 
     lr, eps, n = config.learning_rate, config.adagrad_epsilon, len(vocab)
+    report.start_loss = _data_loss(meta, maps, targets, gammas) / n
+    start_meta, start_maps = meta.copy(), list(maps)  # adagrad_update returns new maps
+    start_missing = [t[m] for t, m in zip(targets, trainable)]
     meta_accum = np.zeros_like(meta)
     map_accums = [np.zeros_like(m) for m in maps]
     target_accums = [np.zeros_like(t) for t in targets]
-    report = TrainReport()
     for epoch in range(config.epochs):
         epoch_loss = 0.0
         for batch in minibatches(n, config.batch_size, config.seed, epoch):
@@ -239,9 +302,14 @@ def train_latent_union(
         report.epoch_losses.append(epoch_loss / n)
         if not np.isfinite(epoch_loss):
             raise ValueError(f"training diverged: epoch {epoch + 1} loss is {epoch_loss}")
-        if loss_plateaued(report.epoch_losses):
+        if loss_plateaued([report.start_loss, *report.epoch_losses]):
             break
-    report.final_loss = report.epoch_losses[-1]
+    report.final_loss = _data_loss(meta, maps, targets, gammas) / n
+    if not report.final_loss < report.start_loss:
+        meta, maps = start_meta, start_maps
+        for t, missing, rows in zip(targets, trainable, start_missing):
+            t[missing] = rows
+        report.final_loss = report.start_loss
     extended = [EmbeddingSet(s.name, vocab, t) for s, t in zip(sets, targets)]
     maps_by_name = {s.name: m for s, m in zip(sets, maps)}
     return EmbeddingSet(LATENT_UNION, vocab, meta), extended, maps_by_name, report

@@ -77,9 +77,6 @@ class EmbeddingSet:
     def row(self, word: str) -> np.ndarray:
         return self.matrix[self.index[word]]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
     def __len__(self) -> int:
         return len(self.words)
 

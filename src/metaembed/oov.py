@@ -56,7 +56,11 @@ def projection_loss_grad(
     m: np.ndarray, source_rows: np.ndarray, target_rows: np.ndarray, l2_weight: float
 ) -> tuple[float, np.ndarray]:
     """Summed squared error of ``source @ m.T`` against targets, plus
-    its gradient in ``m`` (including the ``2*l2*m`` penalty term)."""
+    its gradient in ``m`` (including the ``2*l2*m`` penalty term).
+
+    ``train_projection`` computes this objective's minimizer in closed
+    form and does not call it.
+    """
     residual = source_rows @ m.T - target_rows
     loss = float(np.sum(residual * residual))
     grad = 2.0 * (residual.T @ source_rows) + 2.0 * l2_weight * m
@@ -96,9 +100,10 @@ def train_projection(
     keep = eigvals > eigvals[-1] * max(x.shape) * np.finfo(np.float64).eps
     v = eigvecs[:, keep]
     m = ((v / (eigvals[keep] + l2)) @ (v.T @ (x.T @ y))).T
-    # Only train_loss reads this; huge rows may overflow it to inf.
+    # Huge rows may overflow train_loss to inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, _ = projection_loss_grad(m, x, y, l2)
+        residual = x @ m.T - y
+        loss = float(np.sum(residual * residual))
     m = np.ldexp(m, -exponent)
     return ProjectionMap(
         source_set=source.name, target_set=target.name, matrix=m,

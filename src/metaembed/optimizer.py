@@ -68,11 +68,17 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch mean losses and final state of one training run."""
+    """Per-epoch mean losses and final state of one training run.
+
+    ``start`` names how the union trainer started (``"closed_form"`` or
+    ``"random"``) and ``start_loss`` is its per-word loss there.
+    """
 
     epoch_losses: list[float] = field(default_factory=list)
     final_loss: float = float("nan")
     steps: int = 0
+    start: str = ""
+    start_loss: float = float("nan")
 
 
 def seeded_rng(seed: int, *streams: int) -> np.random.Generator:

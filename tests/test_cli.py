@@ -827,9 +827,10 @@ class TestSidecars:
         sidecar = json.loads((out_dir / "latent_union.json").read_text())
         assert set(sidecar) == {
             "method", "dim", "words", "sets", "final_loss", "epochs_run", "batch_size",
-            "learning_rate", "l2_weight", "epochs", "seed", "adagrad_epsilon",
+            "learning_rate", "l2_weight", "epochs", "seed", "adagrad_epsilon", "start",
         }
         assert (sidecar["epochs"], sidecar["adagrad_epsilon"], sidecar["seed"]) == (3, 1e-6, 5)
+        assert sidecar["start"] == "closed_form"
         assert sidecar["batch_size"] == 2000
 
     def test_extend_keeps_its_seed(self, toy_files):

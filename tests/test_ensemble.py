@@ -22,7 +22,7 @@ from metaembed.ensemble import (
 )
 from metaembed.io import EmbeddingSet
 from metaembed.linalg import normalize_rows, truncated_svd
-from metaembed.optimizer import TrainConfig
+from metaembed.optimizer import EARLY_STOP_WINDOW, TrainConfig
 from metaembed.vocab import VocabAlignment, align
 
 
@@ -342,22 +342,113 @@ class TestTrainLatentUnion:
             return total
 
         plain, plain_maps, _ = train_latent(sets, alignment, weights, dim)
-        union_meta, extended, union_maps, _ = train_latent_union(
+        union_meta, extended, union_maps, report = train_latent_union(
             sets, alignment, weights, dim, cfg
         )
-        assert loss(union_meta, union_maps) >= loss(plain, plain_maps) * (1 - 1e-9)
+        # the closed-form start is that infimum, and no epoch beats it
+        assert report.start == "closed_form"
+        bound = loss(plain, plain_maps)
+        assert abs(loss(union_meta, union_maps) - bound) <= 1e-9 * bound
         for original, ext in zip(sets, extended):
             np.testing.assert_array_equal(original.matrix, ext.matrix)
 
     def test_loss_nonincreasing_up_to_tolerance(self):
+        # dim 12 is above the rank 10 of the shared rows: a random start
         _, _, sets, _, _ = latent_linked_sets(n=120)
         cfg = TrainConfig(l2_weight=0.0, epochs=300, seed=5)
         _, _, _, report = train_latent_union(
-            sets, align(sets), {"one": 1.0, "two": 1.0}, 10, cfg
+            sets, align(sets), {"one": 1.0, "two": 1.0}, 12, cfg
         )
+        assert report.start == "random"
         losses = np.array(report.epoch_losses)
         increases = np.diff(losses)
         assert (increases <= 1e-6 + 0.01 * losses[:-1]).all()
+
+    @pytest.mark.parametrize("hide_fraction", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_returned_loss_never_above_start_loss(self, seed, hide_fraction):
+        # noisy sets, so neither the start nor any epoch fits exactly
+        rng = np.random.default_rng(seed)
+        words = [f"w{i:03d}" for i in range(150)]
+        keep = rng.random(len(words)) >= hide_fraction
+        sets = [
+            EmbeddingSet("one", words, rng.normal(size=(150, 6))),
+            EmbeddingSet("two", [w for w, k in zip(words, keep) if k],
+                         rng.normal(size=(int(keep.sum()), 9))),
+        ]
+        weights = {"one": 1.0, "two": 2.0}
+        cfg = TrainConfig.union_defaults(epochs=30, seed=seed, batch_size=50)
+        meta, extended, maps, report = train_latent_union(
+            sets, align(sets), weights, 5, cfg
+        )
+        assert report.start == "closed_form"
+        assert report.final_loss <= report.start_loss
+        returned, *_ = prediction_loss_grads(
+            meta.matrix, [maps["one"], maps["two"]], [e.matrix for e in extended],
+            [1.0, 2.0], 0.0,
+        )
+        assert returned / len(meta) == pytest.approx(report.final_loss, rel=1e-12)
+
+    def test_one_epoch_recovers_hidden_words(self):
+        # exact rank-10 sets: the start maps each hidden word's meta-vector
+        # into the set that lacks it without error
+        _, words, sets, matrices, hidden = latent_linked_sets(n=150, hide_fraction=0.1)
+        cfg = TrainConfig.union_defaults(l2_weight=0.0, epochs=1, seed=4)
+        _, extended, _, _ = train_latent_union(
+            sets, align(sets), {"one": 1.0, "two": 1.0}, 10, cfg
+        )
+        learned = np.array([extended[1].row(words[i]) for i in hidden])
+        truth = matrices[1][hidden]
+        cosines = np.sum(learned * truth, axis=1) / (
+            np.linalg.norm(learned, axis=1) * np.linalg.norm(truth, axis=1)
+        )
+        assert cosines.mean() > 0.999
+
+    def test_unbeaten_start_ends_training_after_the_plateau_window(self):
+        # the start of exact rank-10 sets fits them to rounding
+        _, _, sets, _, _ = latent_linked_sets(n=150, hide_fraction=0.1)
+        cfg = TrainConfig.union_defaults(l2_weight=0.0, epochs=1000, seed=4)
+        _, _, _, report = train_latent_union(
+            sets, align(sets), {"one": 1.0, "two": 1.0}, 10, cfg
+        )
+        assert len(report.epoch_losses) == EARLY_STOP_WINDOW
+        assert report.final_loss == report.start_loss
+
+    def test_start_solves_each_patterns_normal_equations(self):
+        # Words known to 'a' or 'b' alone span 3 or 5 < dim directions, and
+        # 'd' repeats its 4 columns, so words known to 'd' alone span 4 of
+        # its 8: their meta-vectors must be the minimum-norm solutions.
+        rng = np.random.default_rng(8)
+        dims = {"a": 3, "b": 5, "c": 6, "d": 4}
+        groups = {"abcd": 40, "a": 5, "b": 5, "c": 5, "d": 5, "ab": 5, "bc": 5}
+        words = {name: [] for name in dims}
+        for pattern, count in groups.items():
+            for j in range(count):
+                for name in pattern:
+                    words[name].append(f"{pattern}{j}")
+        sets = [EmbeddingSet(n, w, rng.normal(size=(len(w), dims[n]))) for n, w in words.items()]
+        sets[3] = EmbeddingSet("d", sets[3].words, np.hstack([sets[3].matrix] * 2))
+        weights = {"a": 1.0, "b": 2.0, "c": 0.5, "d": 1.0}
+        alignment = align(sets)
+        # one epoch at this rate only raises the loss, so the start is returned
+        cfg = TrainConfig.union_defaults(epochs=1, learning_rate=10.0)
+        meta, extended, maps, report = train_latent_union(sets, alignment, weights, 6, cfg)
+        assert report.start == "closed_form"
+        assert report.final_loss == report.start_loss
+        for k, word in enumerate(alignment.union):
+            holders = [s for s in sets if word in s.index]
+            if len(holders) == len(sets):
+                continue
+            x = meta.matrix[k]
+            lhs = np.hstack([np.sqrt(weights[s.name]) * maps[s.name].T for s in holders])
+            rhs = np.concatenate([np.sqrt(weights[s.name]) * s.row(word) for s in holders])
+            gradient = lhs @ (lhs.T @ x - rhs)
+            assert np.linalg.norm(gradient) <= 1e-9 * np.linalg.norm(lhs @ rhs)
+            min_norm, *_ = np.linalg.lstsq(lhs.T, rhs, rcond=None)
+            np.testing.assert_allclose(x, min_norm, rtol=0, atol=1e-9 * np.linalg.norm(min_norm))
+            for s, ext in zip(sets, extended):
+                if word not in s.index:
+                    np.testing.assert_allclose(ext.row(word), maps[s.name] @ x, rtol=1e-12)
 
     def test_deterministic_given_seed(self):
         _, _, sets, _, _ = latent_linked_sets(n=60, hide_fraction=0.2)
@@ -378,6 +469,14 @@ class TestTrainLatentUnion:
             warnings.simplefilter("error")  # the named error is the only message
             with pytest.raises(ValueError, match="epoch 1 loss is (inf|nan)"):
                 train_latent_union(huge, align(huge), {"one": 1.0, "two": 1.0}, 4, cfg)
+
+    def test_overflowing_inputs_with_hidden_words_fail_with_a_named_error(self):
+        _, _, sets, _, _ = latent_linked_sets(n=60, hide_fraction=0.2)
+        huge = [EmbeddingSet(s.name, s.words, s.matrix * 1e200) for s in sets]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the named error is the only message
+            with pytest.raises(ValueError, match="epoch 1 loss is (inf|nan)"):
+                train_latent_union(huge, align(huge), {"one": 1.0, "two": 1.0}, 4)
 
     def test_known_rows_never_modified(self):
         _, words, sets, matrices, hidden = latent_linked_sets(n=80, hide_fraction=0.2)

@@ -245,7 +245,7 @@ def reference_fill(target, others, projections, union, strategy, seed):
     rng = seeded_rng(seed)
     out = np.empty((len(union), target.dim))
     for j, word in enumerate(union):
-        if word in target:
+        if word in target.index:
             out[j] = target.row(word)
         elif strategy == RANDOM:
             out[j] = rng.uniform(-INIT_RANGE, INIT_RANGE, target.dim)
@@ -253,7 +253,7 @@ def reference_fill(target, others, projections, union, strategy, seed):
             out[j] = target.matrix.mean(axis=0)
         else:
             out[j] = np.mean(
-                [by_source[o.name].matrix @ o.row(word) for o in others if word in o],
+                [by_source[o.name].matrix @ o.row(word) for o in others if word in o.index],
                 axis=0,
             )
     return out
