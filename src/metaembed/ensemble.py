@@ -156,6 +156,28 @@ def _shared_fit(sets, alignment, gammas, dim):
     return targets, result.u_d * result.singular_values, maps
 
 
+def _min_norm_solve(gram, rhs):
+    """The minimum-norm least-squares rows ``x`` of ``x @ gram = rhs``,
+    for a symmetric positive semi-definite ``gram``.
+
+    Eigenvalues at or below ``largest * n * eps`` are rounding noise and
+    get no weight, as in ``truncated_svd``.  When a Cholesky
+    factorization of ``gram`` less that cut (the trace bounds the
+    largest) succeeds, none is noise and one LU solve gives ``x``;
+    otherwise the eigenbasis drops them.
+    """
+    n = len(gram)
+    cut = np.trace(gram) * n * np.finfo(np.float64).eps
+    try:
+        np.linalg.cholesky(gram - cut * np.eye(n))
+    except np.linalg.LinAlgError:
+        eigvals, eigvecs = np.linalg.eigh(gram)
+        keep = eigvals > eigvals[-1] * n * np.finfo(np.float64).eps
+        v = eigvecs[:, keep]
+        return (rhs @ v / eigvals[keep]) @ v.T
+    return np.linalg.solve(gram, rhs.T).T
+
+
 def _union_start(sets, alignment, gammas, maps, shared_meta):
     """Meta-vectors and targets over the union, given the shared fit.
 
@@ -178,12 +200,7 @@ def _union_start(sets, alignment, gammas, maps, shared_meta):
         if pattern.all():
             meta[rows] = shared_meta
             continue
-        eigvals, eigvecs = np.linalg.eigh(sum(g for g, p in zip(grams, pattern) if p))
-        # Cut as truncated_svd does: directions the pattern's sets span
-        # only to rounding get no weight.
-        keep = eigvals > eigvals[-1] * len(eigvals) * np.finfo(np.float64).eps
-        v = eigvecs[:, keep]
-        meta[rows] = (meta[rows] @ v / eigvals[keep]) @ v.T
+        meta[rows] = _min_norm_solve(sum(g for g, p in zip(grams, pattern) if p), meta[rows])
     for m, t, known in zip(maps, targets, present):
         t[~known] = meta[~known] @ m.T
     return meta, targets

@@ -1,9 +1,11 @@
 """Normalization and truncated SVD kernels.
 
 Dense matrices are plain float64 ``numpy.ndarray`` values throughout.
-The SVD takes the leading eigenpairs of the Gram matrix ``m.T @ m``,
-which is only (columns x columns), and recovers the left-singular
-vectors as ``m @ v / s``; one deterministic path serves every shape.
+The SVD takes the leading eigenpairs of the smaller Gram matrix,
+``m.T @ m`` (columns x columns) or ``m @ m.T`` (rows x rows), and
+recovers the other side's singular vectors as ``m @ v / s`` or
+``m.T @ u / s``; the path depends only on the shape, so it is
+deterministic.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ def truncated_svd(m: np.ndarray, d: int) -> SvdResult:
     rows, cols = m.shape
     if not 1 <= d <= min(rows, cols):
         raise ValueError(f"d={d} out of range for a {rows}x{cols} matrix")
+    wide = rows < cols
+    short = m.T if wide else m  # short.T @ short is the smaller Gram matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = m.T @ m
+        gram = short.T @ short
     if not np.isfinite(gram).all():
         raise ValueError(f"the Gram matrix of the {rows}x{cols} matrix is not finite")
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -74,7 +78,7 @@ def truncated_svd(m: np.ndarray, d: int) -> SvdResult:
     rank = int(np.count_nonzero(eigvals > tol))
     if d > rank:
         raise ValueError(f"d={d} exceeds the rank {rank} of the {rows}x{cols} matrix")
-    s, v = np.sqrt(eigvals[:d]), eigvecs[:, :d]
-    u = (m @ v) / s
+    s, w = np.sqrt(eigvals[:d]), eigvecs[:, :d]
+    u, v = (w, (short @ w) / s) if wide else ((short @ w) / s, w)
     signs = _column_signs(u)
     return SvdResult(u_d=u * signs, singular_values=s, v_d=v * signs)

@@ -125,6 +125,20 @@ class TestTruncatedSvd:
         # same columns up to sign
         np.testing.assert_allclose(np.abs(result.u_d.T @ u), np.eye(12), atol=1e-8)
 
+    def test_wide_path_is_the_transposed_tall_path(self):
+        # A wide matrix takes the Gram of its rows: the tall result, transposed
+        rng = np.random.default_rng(12)
+        m = rng.normal(size=(9, 30))
+        wide, tall = truncated_svd(m, 5), truncated_svd(m.T, 5)
+        np.testing.assert_allclose(wide.singular_values, tall.singular_values, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(wide.u_d.T @ tall.v_d), np.eye(5), atol=1e-10)
+        np.testing.assert_allclose(np.abs(wide.v_d.T @ tall.u_d), np.eye(5), atol=1e-10)
+        np.testing.assert_allclose(wide.v_d.T @ wide.v_d, np.eye(5), atol=1e-10)
+        np.testing.assert_allclose(m @ wide.v_d, wide.u_d * wide.singular_values, atol=1e-10)
+        for j in range(5):
+            col = wide.u_d[:, j]
+            assert col[np.argmax(np.abs(col))] > 0
+
     def test_d_above_rank_names_the_rank(self):
         with pytest.raises(ValueError, match="rank 1"):
             truncated_svd(np.ones((5, 3)), 2)
