@@ -17,8 +17,11 @@ the maps down drives the penalty to 0, and the data term is a rank-dim
 fit of [sqrt(gamma_1) T_1 ...] (Eckart-Young), which ``train_latent``
 returns.  ``train_latent_union`` starts from that fit: every other word
 gets the least-squares meta-vector over the sets that hold it, and each
-missing target is its image; mini-batch AdaGrad then refines the start.
-Losses are reported as per-word means, excluding the penalty term.
+missing target is its image; mini-batch AdaGrad then refines the start,
+with the sets' targets side by side in one array and their maps stacked
+in another: three matrix products per batch, gamma weighting columns,
+equal to a loop over the sets up to rounding.  Losses are reported as
+per-word means, excluding the penalty term.
 """
 
 from __future__ import annotations
@@ -117,43 +120,39 @@ def prediction_loss_grads(
     the gradient for each set's trainable target rows (zero elsewhere);
     otherwise it is None.
     """
-    data_loss = 0.0
-    grad_meta = np.zeros_like(meta_rows)
-    grad_maps = []
-    grad_targets = [] if trainable_rows is not None else None
-    for i, (m, targets) in enumerate(zip(maps, target_rows)):
-        gamma = gammas[i]
+    data_loss, grad_meta, grad_maps = 0.0, np.zeros_like(meta_rows), []
+    grad_targets = None if trainable_rows is None else []
+    for i, (m, targets, gamma) in enumerate(zip(maps, target_rows, gammas)):
         residual = meta_rows @ m.T - targets
         data_loss += gamma * float(np.sum(residual * residual))
         grad_meta += 2.0 * gamma * (residual @ m)
         grad_maps.append(2.0 * gamma * (residual.T @ meta_rows) + 2.0 * l2_weight * m)
         if grad_targets is not None:
-            g = -2.0 * gamma * residual
-            g[~trainable_rows[i]] = 0.0
-            grad_targets.append(g)
+            grad_targets.append(np.where(trainable_rows[i][:, None], -2.0 * gamma * residual, 0.0))
     return data_loss, grad_meta, grad_maps, grad_targets
 
 
-def _data_loss(meta, maps, targets, gammas) -> float:
-    """The objective's summed squared error, penalty excluded."""
-    loss = 0.0
-    for m, t, gamma in zip(maps, targets, gammas):
-        residual = meta @ m.T - t
-        loss += gamma * float(np.sum(residual * residual))
-    return loss
+def _residual(meta, maps, targets, col_weights, out=None):
+    """``meta @ maps.T - targets`` of stacked maps and targets, written into
+    ``out`` if given, and its squared error summed with gamma as weight."""
+    residual = np.matmul(meta, maps.T, out=out)
+    residual -= targets
+    return residual, float(col_weights @ np.einsum("ij,ij->j", residual, residual))
 
 
-def _shared_fit(sets, alignment, gammas, dim):
-    """Each set's shared rows, their meta-vectors ``u s`` and the maps
-    ``v_i / sqrt(gamma_i)``, as ``train_latent`` documents."""
-    if not alignment.intersection:
-        raise ValueError("empty shared vocabulary")
-    shared = alignment.presence.all(axis=0)
-    targets = [s.matrix[alignment.rows_for(s)[shared]] for s in sets]
-    result = truncated_svd(np.hstack([np.sqrt(g) * t for g, t in zip(gammas, targets)]), dim)
-    bounds = np.cumsum([0, *(s.dim for s in sets)])
-    maps = [result.v_d[a:b] / np.sqrt(g) for a, b, g in zip(bounds, bounds[1:], gammas)]
-    return targets, result.u_d * result.singular_values, maps
+def _stacking(sets, weights):
+    """Each set's gamma, those repeated over its stacked columns, and its block of them."""
+    gammas, dims = [_set_weight(weights, s.name) for s in sets], [s.dim for s in sets]
+    ends = np.cumsum(dims)
+    return gammas, np.repeat(gammas, dims), [slice(a, b) for a, b in zip([0, *ends], ends)]
+
+
+def _shared_fit(targets, col_weights, dim):
+    """``train_latent``'s meta-vectors ``u s`` and stacked maps
+    ``v / sqrt(gamma)`` for the sets' shared rows side by side."""
+    root = np.sqrt(col_weights)
+    result = truncated_svd(targets * root, dim)
+    return result.u_d * result.singular_values, result.v_d / root[:, None]
 
 
 def _min_norm_solve(gram, rhs):
@@ -178,22 +177,21 @@ def _min_norm_solve(gram, rhs):
     return np.linalg.solve(gram, rhs.T).T
 
 
-def _union_start(sets, alignment, gammas, maps, shared_meta):
-    """Meta-vectors and targets over the union, given the shared fit.
+def _union_start(alignment, gammas, blocks, maps, shared_meta, targets):
+    """Meta-vectors over the union from the shared fit; fills the missing ``targets``.
 
     With the maps fixed, each word's meta-vector is the minimum-norm
     least-squares fit of its known targets: one solve per presence
     pattern, whose normal matrix is sum_i gamma_i M_i^T M_i over the
     pattern's sets.  For shared words that matrix is the identity, and
     they keep ``shared_meta``.  Each missing target is its word's
-    meta-vector mapped into the set's space; known rows are copies.
+    meta-vector mapped into the set's space.
     """
     present = alignment.presence
-    targets = [s.matrix[alignment.rows_for(s)] for s in sets]
     meta = np.zeros((len(alignment.union), shared_meta.shape[1]))
-    for gamma, m, t, known in zip(gammas, maps, targets, present):
-        meta[known] += gamma * (t[known] @ m)  # right-hand sides of the normal equations
-    grams = [gamma * (m.T @ m) for gamma, m in zip(gammas, maps)]
+    for gamma, block, known in zip(gammas, blocks, present):  # the normal equations' right sides
+        meta[known] += gamma * (targets[known, block] @ maps[block])
+    grams = [gamma * (maps[block].T @ maps[block]) for gamma, block in zip(gammas, blocks)]
     patterns, inverse = np.unique(present.T, axis=0, return_inverse=True)
     for j, pattern in enumerate(patterns):
         rows = inverse.reshape(-1) == j
@@ -201,9 +199,9 @@ def _union_start(sets, alignment, gammas, maps, shared_meta):
             meta[rows] = shared_meta
             continue
         meta[rows] = _min_norm_solve(sum(g for g, p in zip(grams, pattern) if p), meta[rows])
-    for m, t, known in zip(maps, targets, present):
-        t[~known] = meta[~known] @ m.T
-    return meta, targets
+    for block, known in zip(blocks, present):
+        targets[~known, block] = meta[~known] @ maps[block].T
+    return meta
 
 
 def train_latent(
@@ -223,10 +221,14 @@ def train_latent(
     per-word loss with no epochs.  ``config`` is not read.  Raises
     ``ValueError`` when ``dim`` exceeds the rank of the hstack.
     """
-    gammas = [_set_weight(weights, s.name) for s in sets]
-    targets, meta, maps = _shared_fit(sets, alignment, gammas, dim)
-    report = TrainReport(final_loss=_data_loss(meta, maps, targets, gammas) / len(meta))
-    maps_by_name = {s.name: m for s, m in zip(sets, maps)}
+    _, col_weights, blocks = _stacking(sets, weights)
+    if not alignment.intersection:
+        raise ValueError("empty shared vocabulary")
+    shared = alignment.presence.all(axis=0)
+    targets = np.hstack([s.matrix[alignment.rows_for(s)[shared]] for s in sets])
+    meta, maps = _shared_fit(targets, col_weights, dim)
+    report = TrainReport(final_loss=_residual(meta, maps, targets, col_weights)[1] / len(meta))
+    maps_by_name = {s.name: maps[block] for s, block in zip(sets, blocks)}
     return EmbeddingSet(LATENT, alignment.intersection, meta), maps_by_name, report
 
 
@@ -258,62 +260,58 @@ def train_latent_union(
     extended to the union vocabulary, the maps as in ``train_latent``,
     and the training report.
     """
-    if config is None:
-        config = TrainConfig.union_defaults()
+    config = config or TrainConfig.union_defaults()
     if len(sets) < 2:
         raise ValueError(f"need at least 2 embedding sets, got {len(sets)}")
-    gammas = [_set_weight(weights, s.name) for s in sets]
+    gammas, col_weights, blocks = _stacking(sets, weights)
     vocab = alignment.union
-    bound = min(len(vocab), sum(s.dim for s in sets))
+    bound = min(len(vocab), len(col_weights))
     if not 1 <= dim <= bound:
         raise ValueError(f"dim must be in [1, {bound}], the smaller of the union's words and "
                          f"the sets' summed dims; got {dim} (--dim defaults to {DEFAULT_DIM})")
-    trainable = [alignment.rows_for(s) < 0 for s in sets]
+    n, hidden = len(vocab), ~alignment.presence
+    targets = np.empty((n, len(col_weights)))  # each set's vectors over the union, side by side
+    for s, block in zip(sets, blocks):  # rows of -1 are placeholders until the start fills them
+        np.take(s.matrix, alignment.rows_for(s), axis=0, out=targets[:, block], mode="wrap")
     try:
-        _, shared_meta, maps = _shared_fit(sets, alignment, gammas, dim)
+        shared_meta, maps = _shared_fit(targets[alignment.presence.all(axis=0)], col_weights, dim)
     except ValueError:  # no shared word, dim above their rank, or Gram overflow
         report = TrainReport(start="random")
         rng = seeded_rng(config.seed)
-        meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(vocab), dim))
-        maps = [rng.uniform(-INIT_RANGE, INIT_RANGE, (s.dim, dim)) for s in sets]
-        targets = []
-        for s, missing in zip(sets, trainable):
-            t = s.matrix[alignment.rows_for(s)]  # rows of -1 are placeholders, drawn next
-            t[missing] = rng.uniform(-INIT_RANGE, INIT_RANGE, (int(missing.sum()), s.dim))
-            targets.append(t)
+        meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (n, dim))
+        maps = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(col_weights), dim))  # each set's, in order
+        for block, rows in zip(blocks, hidden):
+            targets[rows, block] = rng.uniform(-INIT_RANGE, INIT_RANGE, targets[rows, block].shape)
     else:
         report = TrainReport(start="closed_form")
-        meta, targets = _union_start(sets, alignment, gammas, maps, shared_meta)
+        meta = _union_start(alignment, gammas, blocks, maps, shared_meta, targets)
 
-    lr, eps, n = config.learning_rate, config.adagrad_epsilon, len(vocab)
-    report.start_loss = _data_loss(meta, maps, targets, gammas) / n
-    start_meta, start_maps = meta.copy(), list(maps)  # adagrad_update returns new maps
-    start_missing = [t[m] for t, m in zip(targets, trainable)]
-    meta_accum = np.zeros_like(meta)
-    map_accums = [np.zeros_like(m) for m in maps]
-    target_accums = [np.zeros_like(t) for t in targets]
+    lr, eps = config.learning_rate, config.adagrad_epsilon
+    out = np.empty_like(targets)  # every residual is written into its leading rows
+    report.start_loss = _residual(meta, maps, targets, col_weights, out)[1] / n
+    start_meta, start_maps = meta.copy(), maps  # adagrad_update returns new maps
+    start_hidden = [targets[missing, block] for block, missing in zip(blocks, hidden)]
+    meta_accum, maps_accum = np.zeros_like(meta), np.zeros_like(maps)
+    hidden_accums = [np.zeros_like(rows) for rows in start_hidden]
+    slots = np.cumsum(hidden, axis=1) - 1  # a hidden row's row in its set's accumulator
     for epoch in range(config.epochs):
         epoch_loss = 0.0
-        for batch in minibatches(n, config.batch_size, config.seed, epoch):
-            masks = [m[batch] for m in trainable]
-            loss, g_meta, g_maps, g_targets = prediction_loss_grads(
-                meta[batch], maps, [t[batch] for t in targets], gammas,
-                config.l2_weight, masks,
-            )
+        for batch in map(np.sort, minibatches(n, config.batch_size, config.seed, epoch)):
+            rows = slice(None) if len(batch) == n else batch
+            x = meta[rows]  # x, targets[rows] and meta[rows] are views for the whole union
+            residual, loss = _residual(x, maps, targets[rows], col_weights, out[: len(batch)])
             epoch_loss += loss
-            meta[batch], meta_accum[batch] = adagrad_update(
-                meta[batch], g_meta, meta_accum[batch], lr, eps
-            )
-            for i in range(len(maps)):
-                maps[i], map_accums[i] = adagrad_update(
-                    maps[i], g_maps[i], map_accums[i], lr, eps
-                )
-            for i, mask in enumerate(masks):
-                rows = batch[mask]
-                if rows.size:
-                    targets[i][rows], target_accums[i][rows] = adagrad_update(
-                        targets[i][rows], g_targets[i][mask], target_accums[i][rows],
-                        lr, eps,
+            residual *= 2.0 * col_weights  # the loss's gradient in the predictions
+            g_meta = residual @ maps
+            g_maps = residual.T @ x + 2.0 * config.l2_weight * maps
+            meta[rows], meta_accum[rows] = adagrad_update(x, g_meta, meta_accum[rows], lr, eps)
+            maps, maps_accum = adagrad_update(maps, g_maps, maps_accum, lr, eps)
+            for block, missing, accum, slot in zip(blocks, hidden, hidden_accums, slots):
+                at = np.flatnonzero(missing[batch])  # the batch's trainable rows of this set
+                if at.size:
+                    t = batch[at]
+                    targets[t, block], accum[slot[t]] = adagrad_update(
+                        targets[t, block], -residual[at, block], accum[slot[t]], lr, eps
                     )
             report.steps += 1
         report.epoch_losses.append(epoch_loss / n)
@@ -321,12 +319,12 @@ def train_latent_union(
             raise ValueError(f"training diverged: epoch {epoch + 1} loss is {epoch_loss}")
         if loss_plateaued([report.start_loss, *report.epoch_losses]):
             break
-    report.final_loss = _data_loss(meta, maps, targets, gammas) / n
+    report.final_loss = _residual(meta, maps, targets, col_weights, out)[1] / n
     if not report.final_loss < report.start_loss:
         meta, maps = start_meta, start_maps
-        for t, missing, rows in zip(targets, trainable, start_missing):
-            t[missing] = rows
+        for block, missing, rows in zip(blocks, hidden, start_hidden):
+            targets[missing, block] = rows
         report.final_loss = report.start_loss
-    extended = [EmbeddingSet(s.name, vocab, t) for s, t in zip(sets, targets)]
-    maps_by_name = {s.name: m for s, m in zip(sets, maps)}
+    extended = [EmbeddingSet(s.name, vocab, targets[:, block]) for s, block in zip(sets, blocks)]
+    maps_by_name = {s.name: maps[block] for s, block in zip(sets, blocks)}
     return EmbeddingSet(LATENT_UNION, vocab, meta), extended, maps_by_name, report

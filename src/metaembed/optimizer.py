@@ -102,13 +102,15 @@ def adagrad_update(
     grads = np.asarray(grads, dtype=np.float64)
     accum = np.asarray(accum, dtype=np.float64)
     if not (params.shape == grads.shape == accum.shape):
-        raise ValueError(
-            f"shape mismatch: params {params.shape}, grads {grads.shape}, "
-            f"accum {accum.shape}"
-        )
-    new_accum = accum + grads * grads
-    new_params = params - lr * grads / np.sqrt(new_accum + eps)
-    return new_params, new_accum
+        raise ValueError(f"shape mismatch: params {params.shape}, grads {grads.shape}, "
+                         f"accum {accum.shape}")
+    new_accum = grads * grads  # those operations, in that order, on three fresh arrays
+    new_accum += accum  # float addition commutes exactly
+    root = new_accum + eps
+    np.sqrt(root, out=root)
+    new_params = lr * grads
+    new_params /= root
+    return np.subtract(params, new_params, out=new_params), new_accum
 
 
 def minibatches(n: int, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +24,13 @@ from metaembed.ensemble import (
 )
 from metaembed.io import EmbeddingSet
 from metaembed.linalg import normalize_rows, truncated_svd
-from metaembed.optimizer import EARLY_STOP_WINDOW, TrainConfig
+from metaembed.optimizer import (
+    EARLY_STOP_WINDOW,
+    TrainConfig,
+    adagrad_update,
+    loss_plateaued,
+    minibatches,
+)
 from metaembed.vocab import VocabAlignment, align
 
 
@@ -36,6 +44,55 @@ def make_sets(rng, vocab, dims, names=None):
 
 def unit_weights(sets):
     return {s.name: 1.0 for s in sets}
+
+
+def per_set_training(sets, alignment, weights, dim, config):
+    """What ``train_latent_union`` computes, as a loop over the sets:
+    ``prediction_loss_grads`` with masks, then ``adagrad_update`` for the
+    batch's meta rows, each map and each set's trainable rows, in
+    ``minibatches`` order.  It starts from the start that
+    ``train_latent_union`` returns when one epoch cannot beat it.
+    Returns (meta, maps, targets, epochs run, steps, start name)."""
+    first = dataclasses.replace(config, epochs=1, learning_rate=1e3)
+    meta, extended, maps, report = train_latent_union(sets, alignment, weights, dim, first)
+    assert report.final_loss == report.start_loss  # so these are the start
+    meta, n = meta.matrix.copy(), len(alignment.union)
+    maps = [maps[s.name].copy() for s in sets]
+    targets = [e.matrix.copy() for e in extended]
+    start = (meta.copy(), list(maps), [t.copy() for t in targets])
+    trainable = [alignment.rows_for(s) < 0 for s in sets]
+    gammas = [weights[s.name] for s in sets]
+    lr, eps = config.learning_rate, config.adagrad_epsilon
+    meta_accum = np.zeros_like(meta)
+    map_accums = [np.zeros_like(m) for m in maps]
+    target_accums = [np.zeros_like(t) for t in targets]
+    losses, steps = [], 0
+    for epoch in range(config.epochs):
+        total = 0.0
+        for batch in minibatches(n, config.batch_size, config.seed, epoch):
+            masks = [m[batch] for m in trainable]
+            loss, g_meta, g_maps, g_targets = prediction_loss_grads(
+                meta[batch], maps, [t[batch] for t in targets], gammas, config.l2_weight, masks
+            )
+            total += loss
+            meta[batch], meta_accum[batch] = adagrad_update(
+                meta[batch], g_meta, meta_accum[batch], lr, eps
+            )
+            for i in range(len(maps)):
+                maps[i], map_accums[i] = adagrad_update(maps[i], g_maps[i], map_accums[i], lr, eps)
+            for i, mask in enumerate(masks):
+                rows = batch[mask]
+                targets[i][rows], target_accums[i][rows] = adagrad_update(
+                    targets[i][rows], g_targets[i][mask], target_accums[i][rows], lr, eps
+                )
+            steps += 1
+        losses.append(total / n)
+        if loss_plateaued([report.start_loss, *losses]):
+            break
+    final_loss = prediction_loss_grads(meta, maps, targets, gammas, 0.0)[0] / n
+    if not final_loss < report.start_loss:
+        meta, maps, targets = start
+    return meta, maps, targets, len(losses), steps, report.start
 
 
 class TestConcatenate:
@@ -449,6 +506,63 @@ class TestTrainLatentUnion:
             for s, ext in zip(sets, extended):
                 if word not in s.index:
                     np.testing.assert_allclose(ext.row(word), maps[s.name] @ x, rtol=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [16, 64])  # below and above the 60-word union
+    @pytest.mark.parametrize("dim, start", [(5, "closed_form"), (18, "random")])
+    def test_matches_a_per_set_training_loop(self, batch_size, dim, start):
+        # each set hides its own quarter of the words, so 15 are shared and
+        # dim 18 is above their rank
+        rng = np.random.default_rng(21)
+        words = [f"w{i:02d}" for i in range(60)]
+        sets = [
+            EmbeddingSet(name, words[:15 * k] + words[15 * k + 15:], rng.normal(size=(45, d)))
+            for k, (name, d) in enumerate(zip("abc", (6, 8, 10)))
+        ]
+        weights = {"a": 8.0, "b": 1.0, "c": 0.25}
+        alignment = align(sets)
+        cfg = TrainConfig.union_defaults(epochs=30, batch_size=batch_size, seed=3,
+                                         learning_rate=0.01)
+        meta, extended, maps, report = train_latent_union(sets, alignment, weights, dim, cfg)
+        ref_meta, ref_maps, ref_targets, epochs_run, steps, ref_start = per_set_training(
+            sets, alignment, weights, dim, cfg
+        )
+        assert report.final_loss < report.start_loss  # trained values, not the start
+        assert (report.start, len(report.epoch_losses), report.steps) == (
+            ref_start, epochs_run, steps
+        )
+        assert report.start == start
+
+        def close(actual, reference):
+            return np.linalg.norm(actual - reference) <= 1e-10 * np.linalg.norm(reference)
+
+        assert close(meta.matrix, ref_meta)
+        for s, ext, ref_map, ref_target in zip(sets, extended, ref_maps, ref_targets):
+            assert close(maps[s.name], ref_map)
+            assert close(ext.matrix, ref_target)
+
+    def test_peak_memory_stays_below_five_target_arrays(self):
+        # five sets over a 2000-word union at 80% coverage; the per-set loop
+        # peaked at 6.5 target arrays, gathering every target once per step
+        # and holding full-size masked target gradients
+        rng = np.random.default_rng(3)
+        words = np.array([f"w{i:04d}" for i in range(2000)])
+        keep = rng.random((5, len(words))) < 0.8
+        keep[0, ~keep.any(axis=0)] = True  # every word in the union
+        dims = (20, 30, 40, 50, 60)
+        sets = [
+            EmbeddingSet(f"s{k}", list(words[kept]), rng.normal(size=(int(kept.sum()), d)))
+            for k, (kept, d) in enumerate(zip(keep, dims))
+        ]
+        alignment = align(sets)
+        target_bytes = len(alignment.union) * sum(dims) * 8
+        tracemalloc.start()
+        try:
+            train_latent_union(sets, alignment, unit_weights(sets), 20,
+                               TrainConfig.union_defaults(epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * target_bytes
 
     def test_deterministic_given_seed(self):
         _, _, sets, _, _ = latent_linked_sets(n=60, hide_fraction=0.2)

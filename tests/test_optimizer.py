@@ -39,6 +39,24 @@ class TestAdagradUpdate:
             params = new_params
         assert all(a > b for a, b in zip(steps, steps[1:]))
 
+    @pytest.mark.parametrize("eps", [1e-8, 0.0])
+    def test_matches_the_textbook_expression_bit_for_bit(self, eps):
+        rng = np.random.default_rng(9)
+        params, grads = rng.normal(size=(2, 60))
+        accum = rng.random(60)
+        grads[:10] = 0.0  # with eps 0, grads[:5] over accum[:5] is 0 / 0
+        accum[:5] = 0.0
+        grads[10:15] = params[5:10] = -0.0  # a zero step keeps params[5:10] at -0.0
+        inputs = [params.copy(), grads.copy(), accum.copy()]
+        with np.errstate(invalid="ignore"):
+            new_params, new_accum = adagrad_update(params, grads, accum, 0.03, eps)
+            textbook_accum = accum + grads * grads
+            textbook_params = params - 0.03 * grads / np.sqrt(textbook_accum + eps)
+        assert new_params.view(np.uint64).tolist() == textbook_params.view(np.uint64).tolist()
+        assert new_accum.view(np.uint64).tolist() == textbook_accum.view(np.uint64).tolist()
+        for before, after in zip(inputs, (params, grads, accum)):
+            assert before.view(np.uint64).tolist() == after.view(np.uint64).tolist()
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             adagrad_update(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 1e-8)
