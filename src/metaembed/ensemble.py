@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .io import EmbeddingSet
-from .linalg import normalize_columns, normalize_rows, truncated_svd
+from .linalg import min_norm_solve, normalize_columns, normalize_rows, truncated_svd
 from .optimizer import (
     INIT_RANGE,
     TrainConfig,
@@ -155,50 +155,30 @@ def _shared_fit(targets, col_weights, dim):
     return result.u_d * result.singular_values, result.v_d / root[:, None]
 
 
-def _min_norm_solve(gram, rhs):
-    """The minimum-norm least-squares rows ``x`` of ``x @ gram = rhs``,
-    for a symmetric positive semi-definite ``gram``.
-
-    Eigenvalues at or below ``largest * n * eps`` are rounding noise and
-    get no weight, as in ``truncated_svd``.  When a Cholesky
-    factorization of ``gram`` less that cut (the trace bounds the
-    largest) succeeds, none is noise and one LU solve gives ``x``;
-    otherwise the eigenbasis drops them.
-    """
-    n = len(gram)
-    cut = np.trace(gram) * n * np.finfo(np.float64).eps
-    try:
-        np.linalg.cholesky(gram - cut * np.eye(n))
-    except np.linalg.LinAlgError:
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        keep = eigvals > eigvals[-1] * n * np.finfo(np.float64).eps
-        v = eigvecs[:, keep]
-        return (rhs @ v / eigvals[keep]) @ v.T
-    return np.linalg.solve(gram, rhs.T).T
-
-
 def _union_start(alignment, gammas, blocks, maps, shared_meta, targets):
     """Meta-vectors over the union from the shared fit; fills the missing ``targets``.
 
     With the maps fixed, each word's meta-vector is the minimum-norm
-    least-squares fit of its known targets: one solve per presence
-    pattern, whose normal matrix is sum_i gamma_i M_i^T M_i over the
-    pattern's sets.  For shared words that matrix is the identity, and
-    they keep ``shared_meta``.  Each missing target is its word's
-    meta-vector mapped into the set's space.
+    least-squares fit of its known targets: one ``min_norm_solve`` per
+    presence pattern of the normal matrix sum_i gamma_i M_i^T M_i, whose
+    sum_i d_i rows set its rounding noise (LU unless a Cholesky
+    factorization finds an eigenvalue that low).  For shared words that
+    matrix is the identity, and they keep ``shared_meta``.  Each missing
+    target is its word's meta-vector mapped into the set's space.
     """
     present = alignment.presence
     meta = np.zeros((len(alignment.union), shared_meta.shape[1]))
     for gamma, block, known in zip(gammas, blocks, present):  # the normal equations' right sides
         meta[known] += gamma * (targets[known, block] @ maps[block])
-    grams = [gamma * (maps[block].T @ maps[block]) for gamma, block in zip(gammas, blocks)]
+    grams = np.array([gamma * (maps[block].T @ maps[block]) for gamma, block in zip(gammas, blocks)])
+    dims = [block.stop - block.start for block in blocks]  # the rows summed into each gram
     patterns, inverse = np.unique(present.T, axis=0, return_inverse=True)
     for j, pattern in enumerate(patterns):
         rows = inverse.reshape(-1) == j
         if pattern.all():
             meta[rows] = shared_meta
             continue
-        meta[rows] = _min_norm_solve(sum(g for g, p in zip(grams, pattern) if p), meta[rows])
+        meta[rows] = min_norm_solve(grams[pattern].sum(axis=0), meta[rows], pattern @ dims)
     for block, known in zip(blocks, present):
         targets[~known, block] = meta[~known] @ maps[block].T
     return meta

@@ -15,8 +15,9 @@ words as the ridge regression
 
 with X and Y the shared words' source and target rows.  The penalty
 counts once over all shared words.  The objective is convex, so the fit
-is its closed-form minimizer, read off the eigenpairs (e, V) of the
-source Gram matrix X^T X as M^T = V diag(1 / (e + l2)) V^T X^T Y.
+is its closed-form minimizer, the minimum-norm M of M (X^T X + l2 I) =
+Y^T X; ``linalg.min_norm_solve`` drops X^T X's rounding-noise eigenvalues
+(LU unless a Cholesky factorization finds one, else an eigendecomposition).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import EmbeddingSet
+from .linalg import min_norm_solve
 from .optimizer import INIT_RANGE, TrainConfig, seeded_rng
 
 # Not called here; perfbench/child.py wraps these names in this module.
@@ -73,13 +75,11 @@ def train_projection(
     """Fit a linear map from ``source`` space to ``target`` space on the
     words the two sets share.
 
-    Only ``config.l2_weight`` is read.  The fit uses the eigenpairs of
-    the Gram matrix ``X^T X``, as ``linalg.truncated_svd`` does, cut at
-    its rounding noise, so with ``l2 = 0`` a rank-deficient source gets
-    the minimum-norm map.  ``X`` is first scaled by an exact power of
-    two (``l2`` by its square): its Gram matrix then neither underflows
-    nor overflows.
-    ``train_loss`` is the per-word squared error at the solution.
+    Only ``config.l2_weight`` is read; with ``l2 = 0`` a rank-deficient
+    source gets the minimum-norm map.  ``X`` is first scaled by an exact
+    power of two (``l2`` by its square), so its Gram matrix neither
+    underflows nor overflows.  ``train_loss`` is the per-word squared
+    error at the solution.
     """
     if config is None:
         config = TrainConfig.projection_defaults()
@@ -96,10 +96,7 @@ def train_projection(
     np.ldexp(x, -exponent, out=x)
     with np.errstate(over="ignore"):
         l2 = np.ldexp(config.l2_weight, -2 * exponent)  # inf: the ridge limit M = 0
-    eigvals, eigvecs = np.linalg.eigh(x.T @ x)
-    keep = eigvals > eigvals[-1] * max(x.shape) * np.finfo(np.float64).eps
-    v = eigvecs[:, keep]
-    m = ((v / (eigvals[keep] + l2)) @ (v.T @ (x.T @ y))).T
+    m = min_norm_solve(x.T @ x, y.T @ x, len(shared), l2)
     # Huge rows may overflow train_loss to inf.
     with np.errstate(over="ignore", invalid="ignore"):
         residual = x @ m.T - y

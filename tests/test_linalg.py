@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaembed.linalg import normalize_columns, normalize_rows, truncated_svd
+from metaembed.linalg import min_norm_solve, normalize_columns, normalize_rows, truncated_svd
 
 
 class TestNormalize:
@@ -163,3 +163,58 @@ class TestTruncatedSvd:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="Gram matrix of the 6x3 matrix is not finite"):
                 truncated_svd(m, 2)
+
+
+class TestMinNormSolve:
+    def test_nonsingular_gram_matches_solve(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(30, 6))
+        gram, rhs = x.T @ x, rng.normal(size=(4, 6))
+        np.testing.assert_allclose(
+            min_norm_solve(gram, rhs, 30), np.linalg.solve(gram, rhs.T).T, rtol=1e-12
+        )
+
+    def test_duplicated_column_matches_pinv(self):
+        rng = np.random.default_rng(21)
+        x, y = rng.normal(size=(40, 4)), rng.normal(size=(40, 3))
+        x[:, 3] = x[:, 1]
+        solved = min_norm_solve(x.T @ x, y.T @ x, 40)
+        np.testing.assert_allclose(solved, (np.linalg.pinv(x) @ y).T, rtol=1e-8)
+
+    @pytest.mark.parametrize("shift", [1e-6, 7.5])
+    @pytest.mark.parametrize("duplicated", [False, True])  # the LU and eigh branches
+    def test_positive_shift_satisfies_the_ridge_normal_equations(self, shift, duplicated):
+        rng = np.random.default_rng(22)
+        x, y = rng.normal(size=(50, 5)), rng.normal(size=(50, 3))
+        if duplicated:
+            x[:, 4] = x[:, 0]
+        gram, rhs = x.T @ x, y.T @ x
+        solved = min_norm_solve(gram, rhs, 50, shift)
+        np.testing.assert_allclose(solved @ (gram + shift * np.eye(5)), rhs, atol=1e-10)
+
+    @pytest.mark.parametrize("shift", [0.0, 7.5, np.inf])
+    def test_zero_gram_gives_zeros_without_warning(self, shift):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solved = min_norm_solve(np.zeros((3, 3)), np.ones((2, 3)), 10, shift)
+        assert solved.shape == (2, 3) and not solved.any()
+
+    @pytest.mark.parametrize("factor, kept", [(0.5, False), (2.0, True)])
+    def test_noise_rule_is_shared_with_the_svd_rank(self, factor, kept):
+        # m's Gram has eigenvalues 1, 0.5, 0.25 and factor * the rounding
+        # noise of its 1000 rows, 1000 * eps: the last is dropped below
+        # the noise and kept above it, by the solve and the rank alike.
+        rng = np.random.default_rng(23)
+        q, _ = np.linalg.qr(rng.normal(size=(1000, 4)))
+        w, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        small = factor * 1000 * np.finfo(np.float64).eps
+        m = q @ np.diag(np.sqrt([1.0, 0.5, 0.25, small])) @ w.T
+        solved = min_norm_solve(m.T @ m, w[:, 3], 1000)
+        if kept:
+            assert np.linalg.norm(solved) > 0.1 / small
+            last = truncated_svd(m, 4).singular_values[3]
+            assert last == pytest.approx(np.sqrt(small), rel=1e-2)
+        else:
+            assert np.linalg.norm(solved) < 1e-9
+            with pytest.raises(ValueError, match="rank 3"):
+                truncated_svd(m, 4)
