@@ -15,9 +15,11 @@ per-set targets t_i,
 Over the shared vocabulary its infimum is closed-form: scaling x up and
 the maps down drives the penalty to 0, and the data term is a rank-dim
 fit of [sqrt(gamma_1) T_1 ...] (Eckart-Young), which ``train_latent``
-returns.  ``train_latent_union`` starts from that fit: every other word
-gets the least-squares meta-vector over the sets that hold it, and each
-missing target is its image; mini-batch AdaGrad then refines the start,
+returns.  ``train_latent_union`` starts from its maps: every word gets
+the least-squares meta-vector over the sets that hold it (shared words
+``train_latent``'s, up to rounding), and each missing target is its
+word's image under the set's map, for a random start too; mini-batch
+AdaGrad then refines the start,
 with the sets' targets side by side in one array and their maps stacked
 in another: three matrix products per batch, gamma weighting columns,
 equal to a loop over the sets up to rounding.  Losses are reported as
@@ -155,19 +157,14 @@ def _shared_fit(targets, col_weights, dim):
     return result.u_d * result.singular_values, result.v_d / root[:, None]
 
 
-def _union_start(alignment, gammas, blocks, maps, shared_meta, targets):
-    """Meta-vectors over the union from the shared fit; fills the missing ``targets``.
-
-    With the maps fixed, each word's meta-vector is the minimum-norm
-    least-squares fit of its known targets: one ``min_norm_solve`` per
-    presence pattern of the normal matrix sum_i gamma_i M_i^T M_i, whose
-    sum_i d_i rows set its rounding noise (LU unless a Cholesky
-    factorization finds an eigenvalue that low).  For shared words that
-    matrix is the identity, and they keep ``shared_meta``.  Each missing
-    target is its word's meta-vector mapped into the set's space.
-    """
+def _union_start(alignment, gammas, blocks, maps, targets):
+    """Each union word's minimum-norm least-squares meta-vector over its known
+    targets, the maps fixed: one ``min_norm_solve`` per presence pattern of
+    the normal matrix sum_i gamma_i M_i^T M_i, whose sum_i d_i rows set its
+    rounding noise.  For shared words that matrix is ``v^T v``, the identity,
+    so they get ``train_latent``'s ``u s`` up to rounding."""
     present = alignment.presence
-    meta = np.zeros((len(alignment.union), shared_meta.shape[1]))
+    meta = np.zeros((len(alignment.union), maps.shape[1]))
     for gamma, block, known in zip(gammas, blocks, present):  # the normal equations' right sides
         meta[known] += gamma * (targets[known, block] @ maps[block])
     grams = np.array([gamma * (maps[block].T @ maps[block]) for gamma, block in zip(gammas, blocks)])
@@ -175,13 +172,14 @@ def _union_start(alignment, gammas, blocks, maps, shared_meta, targets):
     patterns, inverse = np.unique(present.T, axis=0, return_inverse=True)
     for j, pattern in enumerate(patterns):
         rows = inverse.reshape(-1) == j
-        if pattern.all():
-            meta[rows] = shared_meta
-            continue
         meta[rows] = min_norm_solve(grams[pattern].sum(axis=0), meta[rows], pattern @ dims)
-    for block, known in zip(blocks, present):
-        targets[~known, block] = meta[~known] @ maps[block].T
     return meta
+
+
+def _write_images(meta, maps, targets, blocks, hidden):
+    """Set each vector a set is missing to its word's meta-vector mapped into the set."""
+    for block, missing in zip(blocks, hidden):
+        targets[missing, block] = meta[missing] @ maps[block].T
 
 
 def train_latent(
@@ -225,15 +223,17 @@ def train_latent_union(
     """Meta-vectors over the vocabulary union: a closed-form start
     refined by mini-batch AdaGrad.
 
-    The start keeps ``train_latent``'s maps and shared meta-vectors,
-    gives every other word its minimum-norm least-squares meta-vector
-    over the sets that hold it, and fills each vector a set is missing
-    with that meta-vector's image.  Where the shared words cannot
-    support ``dim`` (none shared, ``dim`` above their rank, or Gram
-    overflow), all three start from small seeded random values instead.
-    Known vectors are never modified.  The start's per-word loss,
-    ``start_loss``, counts as epoch 0 for the plateau rule, and the
-    start is returned unless the refined loss is lower.  Raises
+    The start keeps ``train_latent``'s maps and gives every word its
+    minimum-norm least-squares meta-vector over the sets that hold it
+    (shared words ``train_latent``'s, up to rounding).  Where the shared
+    words cannot support ``dim`` (none shared, ``dim`` above their rank,
+    or Gram overflow), meta-vectors and maps start from small seeded
+    random values instead.  Either way each vector a set is missing
+    starts as its word's meta-vector mapped into the set's space, and is
+    derived so again when the start is returned.  Known vectors are
+    never modified.  The start's per-word loss, ``start_loss``, counts
+    as epoch 0 for the plateau rule, and the start is returned unless
+    the refined loss is lower.  Raises
     ``ValueError`` unless ``1 <= dim <= min(union words, summed set
     dims)``, and at the first epoch whose loss is not finite.  Returns
     the meta-embeddings (named ``latent_union``), each input set
@@ -251,28 +251,27 @@ def train_latent_union(
                          f"the sets' summed dims; got {dim} (--dim defaults to {DEFAULT_DIM})")
     n, hidden = len(vocab), ~alignment.presence
     targets = np.empty((n, len(col_weights)))  # each set's vectors over the union, side by side
-    for s, block in zip(sets, blocks):  # rows of -1 are placeholders until the start fills them
+    for s, block in zip(sets, blocks):  # rows of -1 are placeholders until _write_images
         np.take(s.matrix, alignment.rows_for(s), axis=0, out=targets[:, block], mode="wrap")
     try:
-        shared_meta, maps = _shared_fit(targets[alignment.presence.all(axis=0)], col_weights, dim)
+        maps = _shared_fit(targets[alignment.presence.all(axis=0)], col_weights, dim)[1]
     except ValueError:  # no shared word, dim above their rank, or Gram overflow
         report = TrainReport(start="random")
         rng = seeded_rng(config.seed)
         meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (n, dim))
         maps = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(col_weights), dim))  # each set's, in order
-        for block, rows in zip(blocks, hidden):
-            targets[rows, block] = rng.uniform(-INIT_RANGE, INIT_RANGE, targets[rows, block].shape)
     else:
         report = TrainReport(start="closed_form")
-        meta = _union_start(alignment, gammas, blocks, maps, shared_meta, targets)
+        meta = _union_start(alignment, gammas, blocks, maps, targets)
+    _write_images(meta, maps, targets, blocks, hidden)
 
     lr, eps = config.learning_rate, config.adagrad_epsilon
     out = np.empty_like(targets)  # every residual is written into its leading rows
     report.start_loss = _residual(meta, maps, targets, col_weights, out)[1] / n
     start_meta, start_maps = meta.copy(), maps  # adagrad_update returns new maps
-    start_hidden = [targets[missing, block] for block, missing in zip(blocks, hidden)]
     meta_accum, maps_accum = np.zeros_like(meta), np.zeros_like(maps)
-    hidden_accums = [np.zeros_like(rows) for rows in start_hidden]
+    hidden_accums = [np.zeros((count, block.stop - block.start))
+                     for count, block in zip(hidden.sum(axis=1), blocks)]
     slots = np.cumsum(hidden, axis=1) - 1  # a hidden row's row in its set's accumulator
     for epoch in range(config.epochs):
         epoch_loss = 0.0
@@ -302,8 +301,7 @@ def train_latent_union(
     report.final_loss = _residual(meta, maps, targets, col_weights, out)[1] / n
     if not report.final_loss < report.start_loss:
         meta, maps = start_meta, start_maps
-        for block, missing, rows in zip(blocks, hidden, start_hidden):
-            targets[missing, block] = rows
+        _write_images(meta, maps, targets, blocks, hidden)
         report.final_loss = report.start_loss
     extended = [EmbeddingSet(s.name, vocab, targets[:, block]) for s, block in zip(sets, blocks)]
     maps_by_name = {s.name: maps[block] for s, block in zip(sets, blocks)}

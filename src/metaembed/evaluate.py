@@ -132,23 +132,25 @@ def eval_similarity(emb: EmbeddingSet, dataset: SimilarityDataset) -> EvalResult
     """Score ``emb`` against a similarity dataset.
 
     Words are looked up through the set's cached ``index``.  Pairs with
-    either word missing are skipped and counted as OOV.
+    either word missing are skipped and counted as OOV.  Only the
+    covered pairs' rows are gathered and normalized.
     """
     index = emb.index
-    normed = normalize_rows(emb.matrix)
-    model, gold = [], []
+    rows, gold = [], []
     oov = 0
     for w1, w2, score in dataset.pairs:
         if w1 not in index or w2 not in index:
             oov += 1
             continue
-        model.append(float(np.dot(normed[index[w1]], normed[index[w2]])))
+        rows += [index[w1], index[w2]]
         gold.append(score)
-    if len(model) < 2:
+    if len(gold) < 2:
         raise ValueError(
-            f"dataset {dataset.name!r}: only {len(model)} of {len(dataset.pairs)} "
+            f"dataset {dataset.name!r}: only {len(gold)} of {len(dataset.pairs)} "
             f"pairs covered; need at least 2"
         )
+    normed = normalize_rows(emb.matrix[rows])
+    model = [float(np.dot(u, v)) for u, v in zip(normed[0::2], normed[1::2])]
     rho = spearman(model, gold)
     return EvalResult(
         score=rho * 100.0, oov_count=oov, evaluated_count=len(model)

@@ -2,7 +2,7 @@
 
 A word missing from one set can be filled three ways:
 
-* ``random``    -- a seeded uniform random vector
+* ``random``    -- a seeded uniform random vector, from one stream per set
 * ``average``   -- the mean of the set's known vectors
 * ``projected`` -- the element-wise mean of the word's vectors from the
                    sets that know it, each mapped into the target space
@@ -144,9 +144,8 @@ def fill_oov(
     out[known] = target.matrix[rows[known]]
     gaps = np.flatnonzero(~known)
     if strategy == RANDOM:
-        out[gaps] = seeded_rng(seed).uniform(
-            -INIT_RANGE, INIT_RANGE, (len(gaps), target.dim)
-        )
+        stream = seeded_rng(seed, alignment.set_names.index(target.name))
+        out[gaps] = stream.uniform(-INIT_RANGE, INIT_RANGE, (len(gaps), target.dim))
     elif strategy == AVERAGE:
         out[gaps] = target.matrix.mean(axis=0)
     else:

@@ -403,11 +403,15 @@ class TestTrainLatentUnion:
             sets, alignment, weights, dim, cfg
         )
         # the closed-form start is that infimum, and no epoch beats it
-        assert report.start == "closed_form"
+        assert (report.start, report.final_loss) == ("closed_form", report.start_loss)
         bound = loss(plain, plain_maps)
         assert abs(loss(union_meta, union_maps) - bound) <= 1e-9 * bound
+        # every word is shared, so the start is train_latent's fit up to rounding
+        np.testing.assert_allclose(union_meta.matrix, plain.matrix, rtol=0,
+                                   atol=1e-9 * np.abs(plain.matrix).max())
         for original, ext in zip(sets, extended):
             np.testing.assert_array_equal(original.matrix, ext.matrix)
+            np.testing.assert_array_equal(union_maps[original.name], plain_maps[original.name])
 
     def test_loss_nonincreasing_up_to_tolerance(self):
         # dim 12 is above the rank 10 of the shared rows: a random start
@@ -494,8 +498,6 @@ class TestTrainLatentUnion:
         assert report.final_loss == report.start_loss
         for k, word in enumerate(alignment.union):
             holders = [s for s in sets if word in s.index]
-            if len(holders) == len(sets):
-                continue
             x = meta.matrix[k]
             lhs = np.hstack([np.sqrt(weights[s.name]) * maps[s.name].T for s in holders])
             rhs = np.concatenate([np.sqrt(weights[s.name]) * s.row(word) for s in holders])
@@ -507,18 +509,50 @@ class TestTrainLatentUnion:
                 if word not in s.index:
                     np.testing.assert_allclose(ext.row(word), maps[s.name] @ x, rtol=1e-12)
 
-    @pytest.mark.parametrize("batch_size", [16, 64])  # below and above the 60-word union
-    @pytest.mark.parametrize("dim, start", [(5, "closed_form"), (18, "random")])
-    def test_matches_a_per_set_training_loop(self, batch_size, dim, start):
+    @staticmethod
+    def quarter_hidden_sets():
         # each set hides its own quarter of the words, so 15 are shared and
-        # dim 18 is above their rank
+        # a dim of 16 or more is above their rank
         rng = np.random.default_rng(21)
         words = [f"w{i:02d}" for i in range(60)]
         sets = [
             EmbeddingSet(name, words[:15 * k] + words[15 * k + 15:], rng.normal(size=(45, d)))
             for k, (name, d) in enumerate(zip("abc", (6, 8, 10)))
         ]
-        weights = {"a": 8.0, "b": 1.0, "c": 0.25}
+        return sets, {"a": 8.0, "b": 1.0, "c": 0.25}
+
+    def unbeaten_start(self, dim):
+        sets, weights = self.quarter_hidden_sets()
+        alignment = align(sets)
+        # one epoch at this rate only raises the loss, so the start is returned;
+        # its later batches move missing vectors, which the rollback restores
+        cfg = TrainConfig.union_defaults(epochs=1, learning_rate=1e3, batch_size=16)
+        meta, extended, maps, report = train_latent_union(sets, alignment, weights, dim, cfg)
+        assert report.final_loss == report.start_loss
+        return sets, alignment, weights, meta.matrix, extended, maps, report
+
+    @pytest.mark.parametrize("dim, start", [(5, "closed_form"), (18, "random")])
+    def test_start_maps_each_missing_vector_from_its_meta_vector(self, dim, start):
+        sets, alignment, _, meta, extended, maps, report = self.unbeaten_start(dim)
+        assert report.start == start
+        for s, ext in zip(sets, extended):
+            for k, word in enumerate(alignment.union):
+                if word not in s.index:
+                    np.testing.assert_allclose(ext.matrix[k], maps[s.name] @ meta[k], rtol=1e-12)
+
+    @pytest.mark.parametrize("dim", [5, 18])
+    def test_start_loss_counts_known_vectors_only(self, dim):
+        sets, alignment, weights, meta, _, maps, report = self.unbeaten_start(dim)
+        known = 0.0
+        for s, rows in zip(sets, alignment.rows):
+            residual = meta[rows >= 0] @ maps[s.name].T - s.matrix[rows[rows >= 0]]
+            known += weights[s.name] * float(np.sum(residual * residual))
+        assert report.start_loss == pytest.approx(known / len(meta), rel=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [16, 64])  # below and above the 60-word union
+    @pytest.mark.parametrize("dim, start", [(5, "closed_form"), (18, "random")])
+    def test_matches_a_per_set_training_loop(self, batch_size, dim, start):
+        sets, weights = self.quarter_hidden_sets()
         alignment = align(sets)
         cfg = TrainConfig.union_defaults(epochs=30, batch_size=batch_size, seed=3,
                                          learning_rate=0.01)

@@ -155,6 +155,23 @@ class TestEvalSimilarity:
         )
         assert eval_similarity(emb, ds).score == eval_similarity(scaled, ds).score
 
+    def test_memory_scales_with_the_pairs_not_the_set(self):
+        # 50k x 100 is 40 MB; normalizing every row would copy all of it
+        rng = np.random.default_rng(2)
+        words = [f"w{i:05d}" for i in range(50_000)]
+        emb = EmbeddingSet("large", words, rng.normal(size=(50_000, 100)))
+        pairs = [(words[i], words[j], float(k)) for k, (i, j) in
+                 enumerate(rng.integers(0, 50_000, size=(20, 2)))]
+        emb.index  # noqa: B018 -- build the cached word table before measuring
+        tracemalloc.start()
+        try:
+            result = eval_similarity(emb, SimilarityDataset("few", pairs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.evaluated_count == 20
+        assert peak < emb.matrix.nbytes / 100
+
 
 def analogy_answer_oracle(emb, a, b, c):
     """Exhaustive scan over the vocabulary with explicit cosines."""

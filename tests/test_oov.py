@@ -239,12 +239,13 @@ class TestFillOov:
             fill_oov(a, [b], [], align([a, b]), "bogus", seed=0)
 
 
-def reference_fill(target, others, projections, union, strategy, seed):
-    """Per-word oracle: each union word looked up in every set by name."""
+def reference_fill(target, others, projections, alignment, strategy, seed):
+    """Per-word oracle: each union word looked up in every set by name;
+    random fills draw from the target's own stream, its aligned index."""
     by_source = {p.source_set: p for p in projections if p.target_set == target.name}
-    rng = seeded_rng(seed)
-    out = np.empty((len(union), target.dim))
-    for j, word in enumerate(union):
+    rng = seeded_rng(seed, alignment.set_names.index(target.name))
+    out = np.empty((len(alignment.union), target.dim))
+    for j, word in enumerate(alignment.union):
         if word in target.index:
             out[j] = target.row(word)
         elif strategy == RANDOM:
@@ -280,14 +281,24 @@ class TestVectorizedFill:
         for target in sets:
             others = [s for s in sets if s is not target]
             filled = fill_oov(target, others, projections, alignment, strategy, seed=3)
-            expected = reference_fill(
-                target, others, projections, alignment.union, strategy, seed=3
-            )
+            expected = reference_fill(target, others, projections, alignment, strategy, seed=3)
             assert filled.words == alignment.union
             if strategy == PROJECTED:
                 np.testing.assert_allclose(filled.matrix, expected, rtol=1e-12, atol=0)
             else:
                 assert filled.matrix.tobytes() == expected.tobytes()
+
+    def test_random_fills_of_different_sets_share_no_value(self):
+        sets, _ = self.four_sets()
+        alignment = align(sets)
+        fills = []
+        for target in sets:
+            filled = fill_oov(target, [], [], alignment, RANDOM, seed=3)
+            fills.append(set(filled.matrix[alignment.rows_for(target) < 0].ravel()))
+        assert all(fills)
+        for i, one in enumerate(fills):
+            for two in fills[i + 1:]:
+                assert not one & two
 
     def test_reordered_source_rejected(self):
         sets, projections = self.four_sets()
