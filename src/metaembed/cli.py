@@ -240,9 +240,8 @@ def cmd_build(args) -> int:
     if report is not None:
         metadata["final_loss"] = report.final_loss
     if config is not None:
-        metadata.update(
-            dataclasses.asdict(config), epochs_run=len(report.epoch_losses), start=report.start
-        )
+        metadata.update(dataclasses.asdict(config), epochs_run=len(report.epoch_losses),
+                        start=report.start, start_loss=report.start_loss)
     with open(out_dir / f"{args.method}.json", "w", encoding="utf-8") as f:
         json.dump(metadata, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -5,7 +5,8 @@
 * ``train_latent``      -- meta-vectors that predict every set through one
                            linear map per set, over the shared vocabulary
 * ``train_latent_union``-- the same objective over the vocabulary union, with
-                           each set's missing vectors learned as parameters
+                           each set's missing vectors derived from their
+                           words' meta-vectors
 
 The last two share one objective: for word w with meta-vector x and
 per-set targets t_i,
@@ -19,11 +20,13 @@ returns.  ``train_latent_union`` starts from its maps: every word gets
 the least-squares meta-vector over the sets that hold it (shared words
 ``train_latent``'s, up to rounding), and each missing target is its
 word's image under the set's map, for a random start too; mini-batch
-AdaGrad then refines the start,
-with the sets' targets side by side in one array and their maps stacked
-in another: three matrix products per batch, gamma weighting columns,
-equal to a loop over the sets up to rounding.  Losses are reported as
-per-word means, excluding the penalty term.
+AdaGrad then refines the meta-vectors and maps, holding every target
+fixed, with the sets' targets side by side in one array and their maps
+stacked in another: three matrix products and two AdaGrad steps per
+batch, gamma weighting columns, equal to a loop over the sets up to
+rounding.  After refinement each missing target is derived again as
+its word's image, its optimum given the meta-vector and map.  Losses
+are reported as per-word means, excluding the penalty term.
 """
 
 from __future__ import annotations
@@ -228,12 +231,13 @@ def train_latent_union(
     (shared words ``train_latent``'s, up to rounding).  Where the shared
     words cannot support ``dim`` (none shared, ``dim`` above their rank,
     or Gram overflow), meta-vectors and maps start from small seeded
-    random values instead.  Either way each vector a set is missing
-    starts as its word's meta-vector mapped into the set's space, and is
-    derived so again when the start is returned.  Known vectors are
-    never modified.  The start's per-word loss, ``start_loss``, counts
-    as epoch 0 for the plateau rule, and the start is returned unless
-    the refined loss is lower.  Raises
+    random values instead.  AdaGrad refines only meta-vectors and maps;
+    each vector a set is missing is its word's meta-vector mapped into
+    the set's space (the start's image, a fixed target during the epochs,
+    then the returned model's), so ``start_loss`` and ``final_loss``
+    count the known vectors alone.  Known vectors are never modified.
+    The start's loss counts as epoch 0 for the plateau rule, and the
+    start is returned unless the refined loss is lower.  Raises
     ``ValueError`` unless ``1 <= dim <= min(union words, summed set
     dims)``, and at the first epoch whose loss is not finite.  Returns
     the meta-embeddings (named ``latent_union``), each input set
@@ -270,9 +274,6 @@ def train_latent_union(
     report.start_loss = _residual(meta, maps, targets, col_weights, out)[1] / n
     start_meta, start_maps = meta.copy(), maps  # adagrad_update returns new maps
     meta_accum, maps_accum = np.zeros_like(meta), np.zeros_like(maps)
-    hidden_accums = [np.zeros((count, block.stop - block.start))
-                     for count, block in zip(hidden.sum(axis=1), blocks)]
-    slots = np.cumsum(hidden, axis=1) - 1  # a hidden row's row in its set's accumulator
     for epoch in range(config.epochs):
         epoch_loss = 0.0
         for batch in map(np.sort, minibatches(n, config.batch_size, config.seed, epoch)):
@@ -285,19 +286,13 @@ def train_latent_union(
             g_maps = residual.T @ x + 2.0 * config.l2_weight * maps
             meta[rows], meta_accum[rows] = adagrad_update(x, g_meta, meta_accum[rows], lr, eps)
             maps, maps_accum = adagrad_update(maps, g_maps, maps_accum, lr, eps)
-            for block, missing, accum, slot in zip(blocks, hidden, hidden_accums, slots):
-                at = np.flatnonzero(missing[batch])  # the batch's trainable rows of this set
-                if at.size:
-                    t = batch[at]
-                    targets[t, block], accum[slot[t]] = adagrad_update(
-                        targets[t, block], -residual[at, block], accum[slot[t]], lr, eps
-                    )
             report.steps += 1
         report.epoch_losses.append(epoch_loss / n)
         if not np.isfinite(epoch_loss):
             raise ValueError(f"training diverged: epoch {epoch + 1} loss is {epoch_loss}")
         if loss_plateaued([report.start_loss, *report.epoch_losses]):
             break
+    _write_images(meta, maps, targets, blocks, hidden)
     report.final_loss = _residual(meta, maps, targets, col_weights, out)[1] / n
     if not report.final_loss < report.start_loss:
         meta, maps = start_meta, start_maps

@@ -55,7 +55,7 @@ def load_similarity_dataset(path, name: str | None = None) -> SimilarityDataset:
     """Read "word1 word2 score" lines."""
     path = Path(path)
     pairs = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -85,7 +85,7 @@ def load_analogy_dataset(path) -> AnalogyDataset:
     path = Path(path)
     questions = []
     category = None
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:

@@ -4,8 +4,9 @@ Each record is one line, ``word v1 v2 ... vd``.  Loading also accepts
 a ``"<count> <dim>"`` first line, which it detects by its count, and
 holds one float64 matrix plus the word list; saving writes records only.
 
-Tokens are opaque, non-empty UTF-8 strings without whitespace, and
-saving refuses any other word, which the loader could not read back;
+Tokens are opaque, non-empty UTF-8 strings without whitespace; a
+leading byte-order mark is skipped, so no word may begin with U+FEFF.
+Saving refuses any other word, which the loader could not read back;
 values are written with 9 significant digits, so a save/load round trip
 preserves matrices to better than 1e-8 for unit-scale vectors.
 
@@ -34,7 +35,7 @@ import numpy as np
 # Fixed output precision; part of the round-trip contract.
 VALUE_FORMAT = ".9g"
 # Part of every sidecar key: bump it when parsing or the sidecar layout changes.
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def _remove_sidecars(path: Path, keep=()) -> None:
 
 def _parse(path: Path):
     """The kept words, their float64 rows and the dropped-duplicate count."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         first = f.readline()
         records = sum(1 for line in f if line.strip())
     header = _parse_header(first.split())
@@ -198,7 +199,7 @@ def _parse(path: Path):
     seen: set[str] = set()
     line_numbers = np.empty(records, dtype=np.int64)
     duplicates = 0
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         if start:
             f.readline()
         for lineno, line in enumerate(f, start=start + 1):
@@ -242,11 +243,12 @@ def _parse(path: Path):
 def save_embedding_set(emb: EmbeddingSet, path) -> None:
     """Write ``emb`` to ``path`` as plain text, one record per line, and
     remove the sidecars of the file it replaces; an empty word, a word
-    containing whitespace, or a non-finite value raises ``ValueError``
-    naming the word before the file opens."""
-    unreadable = next((w for w in emb.words if w.split() != [w]), None)
+    containing whitespace or beginning with U+FEFF, or a non-finite value
+    raises ``ValueError`` naming the word before the file opens."""
+    unreadable = next((w for w in emb.words if w.split() != [w] or w[0] == "\ufeff"), None)
     if unreadable is not None:
-        raise ValueError(f"{path}: word {unreadable!r} is empty or contains whitespace")
+        raise ValueError(f"{path}: word {unreadable!r} is empty or contains whitespace "
+                         "or a leading byte-order mark")
     bad = np.flatnonzero(~np.isfinite(emb.matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: non-finite value for word {emb.words[bad[0]]!r}")

@@ -828,6 +828,7 @@ class TestSidecars:
         assert set(sidecar) == {
             "method", "dim", "words", "sets", "final_loss", "epochs_run", "batch_size",
             "learning_rate", "l2_weight", "epochs", "seed", "adagrad_epsilon", "start",
+            "start_loss",
         }
         assert (sidecar["epochs"], sidecar["adagrad_epsilon"], sidecar["seed"]) == (3, 1e-6, 5)
         assert sidecar["start"] == "closed_form"

@@ -11,6 +11,7 @@ from conftest import (
     regression_r2,
 )
 
+from metaembed import ensemble
 from metaembed.ensemble import (
     CONCAT,
     LATENT,
@@ -48,9 +49,10 @@ def unit_weights(sets):
 
 def per_set_training(sets, alignment, weights, dim, config):
     """What ``train_latent_union`` computes, as a loop over the sets:
-    ``prediction_loss_grads`` with masks, then ``adagrad_update`` for the
-    batch's meta rows, each map and each set's trainable rows, in
-    ``minibatches`` order.  It starts from the start that
+    ``prediction_loss_grads`` without masks, then ``adagrad_update`` for
+    the batch's meta rows and each map, in ``minibatches`` order, every
+    target held fixed; after the epochs each missing vector is set to its
+    word's meta-vector mapped into the set.  It starts from the start that
     ``train_latent_union`` returns when one epoch cannot beat it.
     Returns (meta, maps, targets, epochs run, steps, start name)."""
     first = dataclasses.replace(config, epochs=1, learning_rate=1e3)
@@ -60,19 +62,17 @@ def per_set_training(sets, alignment, weights, dim, config):
     maps = [maps[s.name].copy() for s in sets]
     targets = [e.matrix.copy() for e in extended]
     start = (meta.copy(), list(maps), [t.copy() for t in targets])
-    trainable = [alignment.rows_for(s) < 0 for s in sets]
+    missing = [alignment.rows_for(s) < 0 for s in sets]
     gammas = [weights[s.name] for s in sets]
     lr, eps = config.learning_rate, config.adagrad_epsilon
     meta_accum = np.zeros_like(meta)
     map_accums = [np.zeros_like(m) for m in maps]
-    target_accums = [np.zeros_like(t) for t in targets]
     losses, steps = [], 0
     for epoch in range(config.epochs):
         total = 0.0
         for batch in minibatches(n, config.batch_size, config.seed, epoch):
-            masks = [m[batch] for m in trainable]
-            loss, g_meta, g_maps, g_targets = prediction_loss_grads(
-                meta[batch], maps, [t[batch] for t in targets], gammas, config.l2_weight, masks
+            loss, g_meta, g_maps, _ = prediction_loss_grads(
+                meta[batch], maps, [t[batch] for t in targets], gammas, config.l2_weight
             )
             total += loss
             meta[batch], meta_accum[batch] = adagrad_update(
@@ -80,15 +80,12 @@ def per_set_training(sets, alignment, weights, dim, config):
             )
             for i in range(len(maps)):
                 maps[i], map_accums[i] = adagrad_update(maps[i], g_maps[i], map_accums[i], lr, eps)
-            for i, mask in enumerate(masks):
-                rows = batch[mask]
-                targets[i][rows], target_accums[i][rows] = adagrad_update(
-                    targets[i][rows], g_targets[i][mask], target_accums[i][rows], lr, eps
-                )
             steps += 1
         losses.append(total / n)
         if loss_plateaued([report.start_loss, *losses]):
             break
+    for target, m, rows in zip(targets, maps, missing):
+        target[rows] = meta[rows] @ m.T
     final_loss = prediction_loss_grads(meta, maps, targets, gammas, 0.0)[0] / n
     if not final_loss < report.start_loss:
         meta, maps, targets = start
@@ -524,30 +521,40 @@ class TestTrainLatentUnion:
     def unbeaten_start(self, dim):
         sets, weights = self.quarter_hidden_sets()
         alignment = align(sets)
-        # one epoch at this rate only raises the loss, so the start is returned;
-        # its later batches move missing vectors, which the rollback restores
+        # one epoch at this rate only raises the loss, so the start is returned
+        # and its missing vectors are derived from the start again
         cfg = TrainConfig.union_defaults(epochs=1, learning_rate=1e3, batch_size=16)
         meta, extended, maps, report = train_latent_union(sets, alignment, weights, dim, cfg)
         assert report.final_loss == report.start_loss
         return sets, alignment, weights, meta.matrix, extended, maps, report
 
-    @pytest.mark.parametrize("dim, start", [(5, "closed_form"), (18, "random")])
-    def test_start_maps_each_missing_vector_from_its_meta_vector(self, dim, start):
-        sets, alignment, _, meta, extended, maps, report = self.unbeaten_start(dim)
-        assert report.start == start
+    @staticmethod
+    def assert_missing_vectors_are_images(sets, alignment, meta, extended, maps):
         for s, ext in zip(sets, extended):
             for k, word in enumerate(alignment.union):
                 if word not in s.index:
                     np.testing.assert_allclose(ext.matrix[k], maps[s.name] @ meta[k], rtol=1e-12)
 
-    @pytest.mark.parametrize("dim", [5, 18])
-    def test_start_loss_counts_known_vectors_only(self, dim):
-        sets, alignment, weights, meta, _, maps, report = self.unbeaten_start(dim)
+    @staticmethod
+    def known_loss(sets, alignment, weights, meta, maps):
+        """The per-word loss of the known vectors alone."""
         known = 0.0
         for s, rows in zip(sets, alignment.rows):
             residual = meta[rows >= 0] @ maps[s.name].T - s.matrix[rows[rows >= 0]]
             known += weights[s.name] * float(np.sum(residual * residual))
-        assert report.start_loss == pytest.approx(known / len(meta), rel=1e-12)
+        return known / len(meta)
+
+    @pytest.mark.parametrize("dim, start", [(5, "closed_form"), (18, "random")])
+    def test_start_maps_each_missing_vector_from_its_meta_vector(self, dim, start):
+        sets, alignment, _, meta, extended, maps, report = self.unbeaten_start(dim)
+        assert report.start == start
+        self.assert_missing_vectors_are_images(sets, alignment, meta, extended, maps)
+
+    @pytest.mark.parametrize("dim", [5, 18])
+    def test_start_loss_counts_known_vectors_only(self, dim):
+        sets, alignment, weights, meta, _, maps, report = self.unbeaten_start(dim)
+        known = self.known_loss(sets, alignment, weights, meta, maps)
+        assert report.start_loss == pytest.approx(known, rel=1e-12)
 
     @pytest.mark.parametrize("batch_size", [16, 64])  # below and above the 60-word union
     @pytest.mark.parametrize("dim, start", [(5, "closed_form"), (18, "random")])
@@ -573,6 +580,24 @@ class TestTrainLatentUnion:
         for s, ext, ref_map, ref_target in zip(sets, extended, ref_maps, ref_targets):
             assert close(maps[s.name], ref_map)
             assert close(ext.matrix, ref_target)
+        self.assert_missing_vectors_are_images(sets, alignment, meta.matrix, extended, maps)
+        known = self.known_loss(sets, alignment, weights, meta.matrix, maps)
+        assert report.final_loss == pytest.approx(known, rel=1e-12)
+
+    def test_each_batch_steps_only_meta_rows_and_maps(self, monkeypatch):
+        sets, weights = self.quarter_hidden_sets()
+        calls = []
+
+        def counting_update(*args):
+            calls.append(args[0].shape)
+            return adagrad_update(*args)
+
+        monkeypatch.setattr(ensemble, "adagrad_update", counting_update)
+        cfg = TrainConfig.union_defaults(epochs=3, batch_size=16, seed=3, learning_rate=0.01)
+        meta, _, _, report = train_latent_union(sets, align(sets), weights, 5, cfg)
+        assert report.steps == 3 * 4  # four batches of a 60-word union per epoch
+        assert len(calls) == 2 * report.steps
+        assert {shape[1] for shape in calls} == {meta.dim}  # meta rows and stacked maps
 
     def test_peak_memory_stays_below_five_target_arrays(self):
         # five sets over a 2000-word union at 80% coverage; the per-set loop

@@ -343,6 +343,15 @@ class TestLoaders:
         assert ds.name == "sim"
         assert ds.pairs == [("cat", "dog", 8.5), ("car", "bus", 6.0)]
 
+    def test_loaders_skip_a_byte_order_mark(self, tmp_path):
+        sim, questions = tmp_path / "sim.txt", tmp_path / "questions.txt"
+        sim.write_text("\ufeffcat dog 8.5\n", encoding="utf-8")
+        questions.write_text("\ufeff: family\nboy girl brother sister\n", encoding="utf-8")
+        assert load_similarity_dataset(sim).pairs == [("cat", "dog", 8.5)]
+        assert load_analogy_dataset(questions).questions == [
+            ("boy", "girl", "brother", "sister", SEMANTIC)
+        ]
+
     def test_similarity_loader_bad_line(self, tmp_path):
         path = tmp_path / "sim.txt"
         path.write_text("cat dog 8.5\ncar 6.0\n", encoding="utf-8")

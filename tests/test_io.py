@@ -20,6 +20,15 @@ def write(tmp_path, text, name="vectors.txt"):
 
 
 class TestLoad:
+    @pytest.mark.parametrize("header", ["", "2 2\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, header):
+        path = write(tmp_path, f"\ufeff{header}the 0.1 0.2\ncat 0.3 0.4\n")
+        cold = load_embedding_set(path)
+        refuse_parsing(monkeypatch)
+        for emb in (cold, load_embedding_set(path)):
+            assert emb.words == ["the", "cat"]
+            np.testing.assert_array_equal(emb.matrix, [[0.1, 0.2], [0.3, 0.4]])
+
     def test_plain_two_words(self, tmp_path):
         path = write(tmp_path, "a 1.0 0.0\nb 0.0 1.0\n")
         emb = load_embedding_set(path)
@@ -246,6 +255,15 @@ class TestCache:
         assert sidecars(path) == sidecars(other)
         assert len(sidecars(other)) == 2
 
+    def test_sidecars_of_an_earlier_version_are_not_read(self, tmp_path):
+        # version 1 kept a leading byte-order mark in the first word
+        path = write(tmp_path, "\ufeffthe 0.1 0.2\ncat 0.3 0.4\n")
+        old = [p.with_name(p.name.replace(f"-v{io._CACHE_VERSION}.", "-v1.")) for p in io._sidecars(path)]
+        np.save(old[0], np.array([[0.1, 0.2], [0.3, 0.4]]))
+        old[1].write_text("2 0\n\ufeffthe\ncat\n", encoding="utf-8")
+        assert load_embedding_set(path).words == ["the", "cat"]
+        assert not any(p.exists() for p in old)
+
 
 class TestSave:
     def test_round_trip_small(self, tmp_path):
@@ -322,10 +340,11 @@ class TestSave:
             save_embedding_set(emb, path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("word", ["a b", "a\tb", "a\u2028b", "a\u0085b", ""])
+    @pytest.mark.parametrize("word", ["a b", "a\tb", "a\u2028b", "a\u0085b", "", "\ufeffa"])
     def test_unreadable_word_refused_before_writing(self, tmp_path, word):
         # the loader cannot read these back: whitespace splits the word,
-        # and " 1 2" would load as a "<count> <dim>" header
+        # " 1 2" would load as a "<count> <dim>" header, and a leading
+        # byte-order mark is skipped
         emb = EmbeddingSet("bad", [word, "z"], [[1.0, 2.0], [3.0, 4.0]])
         path = tmp_path / "out.txt"
         with pytest.raises(ValueError, match=re.escape(f"word {word!r} is empty or contains whitespace")):
