@@ -3,8 +3,8 @@
 Set arguments take the form ``name=path[:weight[:colnorm]]``; weight
 defaults to 1 and the literal ``colnorm`` suffix enables per-dimension
 normalization for that set.  A JSON config file (``--config``) holds
-flags: each key (``sets``, ``method``, ``dim``, ``strategy`` or a
-TrainConfig field) is read as its flag typed before the command line's
+flags: each key (``sets``, ``method``, ``dim``, ``strategy``, ``l2_weight``,
+``epochs`` or ``seed``) is read as its flag typed before the command line's
 own, so argparse checks its value and a typed flag wins.  Any other key
 is an error.  An option, or set weight or colnorm, that the command's
 method or strategy does not read (see ``_READS``) draws a warning on
@@ -38,13 +38,14 @@ from .vocab import align
 
 DATA_DIR_ENV = "METAEMBED_DATA_DIR"
 
-_TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 # The flag of each option; the keys are also the config-file keys.
 _FLAGS = {
     "sets": "--sets", "method": "--method", "dim": "--dim", "strategy": "--strategy",
-    "batch_size": "--batch-size", "learning_rate": "--lr", "l2_weight": "--l2",
-    "epochs": "--epochs", "seed": "--seed", "adagrad_epsilon": "--adagrad-epsilon",
+    "l2_weight": "--l2", "epochs": "--epochs", "seed": "--seed",
 }
+# The TrainConfig fields that have a flag.  No reader reads ``epochs``; it
+# stays accepted, with a warning, for scripts that pass it.
+_TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name in _FLAGS)
 # The options each method, extend strategy and info reads; ``weight`` and
 # ``colnorm`` are the set options of ``_SET_FIELDS``.  Any other option given
 # is warned about.
@@ -52,7 +53,7 @@ _READS = {
     ensemble.CONCAT: ("weight", "colnorm"),
     ensemble.SVD: ("dim", "weight", "colnorm"),
     ensemble.LATENT: ("dim", "weight"),
-    ensemble.LATENT_UNION: ("dim", "weight", *_TRAIN_FIELDS),
+    ensemble.LATENT_UNION: ("dim", "weight"),
     oov.RANDOM: ("seed",),
     oov.AVERAGE: (),
     oov.PROJECTED: ("l2_weight",),
@@ -109,7 +110,7 @@ def resolve_dataset(path: str) -> Path:
 
 def _config_flags(path: str) -> list[str]:
     """The JSON config file at ``path`` as command-line tokens."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:  # skips a byte-order mark, as loaders do
         try:
             config = json.load(f)
         except json.JSONDecodeError as exc:
@@ -184,16 +185,14 @@ def _write_csv(rows: list[list], header: list[str], out: str | None) -> None:
         writer.writerows(rows)
 
 
-def _build_meta(specs, sets, alignment, method, dim, config):
+def _build_meta(specs, sets, alignment, method, dim):
     """The meta-embeddings, the extended sets (or None) and the report (or None)."""
     weights = {s.name: s.weight for s in specs}
     if method == ensemble.LATENT:
-        meta, _, report = ensemble.train_latent(sets, alignment, weights, dim, config)
+        meta, _, report = ensemble.train_latent(sets, alignment, weights, dim)
         return meta, None, report
     if method == ensemble.LATENT_UNION:
-        meta, extended, _, report = ensemble.train_latent_union(
-            sets, alignment, weights, dim, config
-        )
+        meta, extended, _, report = ensemble.train_latent_union(sets, alignment, weights, dim)
         return meta, extended, report
     colnorm = [s.name for s in specs if s.column_normalize]
     conc = ensemble.concatenate(sets, weights, alignment, colnorm)
@@ -215,13 +214,11 @@ def cmd_info(args) -> int:
 
 def cmd_build(args) -> int:
     specs = _gather_set_specs(args, minimum=2)
-    read = _read_options(args, specs, "method")
-    dim = read.pop("dim", ensemble.DEFAULT_DIM)
-    config = TrainConfig.union_defaults(**read) if args.method == ensemble.LATENT_UNION else None
+    dim = _read_options(args, specs, "method").get("dim", ensemble.DEFAULT_DIM)
 
     sets = _load_sets(specs)
     alignment = align(sets)
-    meta, extended, report = _build_meta(specs, sets, alignment, args.method, dim, config)
+    meta, extended, report = _build_meta(specs, sets, alignment, args.method, dim)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,9 +236,8 @@ def cmd_build(args) -> int:
     }
     if report is not None:
         metadata["final_loss"] = report.final_loss
-    if config is not None:
-        metadata.update(dataclasses.asdict(config), epochs_run=len(report.epoch_losses),
-                        start=report.start, start_loss=report.start_loss)
+    if extended is not None:
+        metadata.update(epochs_run=len(report.epoch_losses), start=report.start)
     with open(out_dir / f"{args.method}.json", "w", encoding="utf-8") as f:
         json.dump(metadata, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -298,8 +294,7 @@ def cmd_sweep(args) -> int:
     specs = _gather_set_specs(args, minimum=2)
     # a dimension sweep takes each dimension from --values
     read = _read_options(args, specs, "method", ("dim",) if args.param == "dim" else ())
-    base_dim = read.pop("dim", ensemble.DEFAULT_DIM)
-    config = TrainConfig.union_defaults(**read) if args.method == ensemble.LATENT_UNION else None
+    base_dim = read.get("dim", ensemble.DEFAULT_DIM)
     if args.param == "weight" and all(s.weight == 1.0 for s in specs):
         raise ValueError(
             "a weight sweep changes only sets whose weight is not 1: "
@@ -332,9 +327,9 @@ def cmd_sweep(args) -> int:
     for value in values:
         if args.param == "weight":
             swept = [dataclasses.replace(s, weight=value) if s.weight != 1.0 else s for s in specs]
-            meta, _, _ = _build_meta(swept, sets, alignment, args.method, base_dim, config)
+            meta, _, _ = _build_meta(swept, sets, alignment, args.method, base_dim)
         else:
-            meta, _, _ = _build_meta(specs, sets, alignment, args.method, int(value), config)
+            meta, _, _ = _build_meta(specs, sets, alignment, args.method, int(value))
         result = eval_similarity(meta, dev)
         rows.append([format(value, "g"), format(result.score, ".4f")])
     _write_csv(rows, ["value", "score"], args.out)
@@ -351,9 +346,10 @@ def _add_set_options(p: argparse.ArgumentParser) -> None:
 
 def _add_train_options(p: argparse.ArgumentParser) -> None:
     for field in dataclasses.fields(TrainConfig):
-        readers = [key for key, reads in _READS.items() if field.name in reads]
-        p.add_argument(_FLAGS[field.name], dest=field.name, type=type(field.default),
-                       help=f"read by {', '.join(readers)}")
+        if field.name in _TRAIN_FIELDS:
+            readers = [key for key, reads in _READS.items() if field.name in reads]
+            p.add_argument(_FLAGS[field.name], dest=field.name, type=type(field.default),
+                           help=f"read by {', '.join(readers) or 'nothing (no effect)'}")
 
 
 def build_parser() -> argparse.ArgumentParser:

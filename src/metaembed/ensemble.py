@@ -16,17 +16,15 @@ per-set targets t_i,
 Over the shared vocabulary its infimum is closed-form: scaling x up and
 the maps down drives the penalty to 0, and the data term is a rank-dim
 fit of [sqrt(gamma_1) T_1 ...] (Eckart-Young), which ``train_latent``
-returns.  ``train_latent_union`` starts from its maps: every word gets
-the least-squares meta-vector over the sets that hold it (shared words
-``train_latent``'s, up to rounding), and each missing target is its
-word's image under the set's map, for a random start too; mini-batch
-AdaGrad then refines the meta-vectors and maps, holding every target
-fixed, with the sets' targets side by side in one array and their maps
-stacked in another: three matrix products and two AdaGrad steps per
-batch, gamma weighting columns, equal to a loop over the sets up to
-rounding.  After refinement each missing target is derived again as
-its word's image, its optimum given the meta-vector and map.  Losses
-are reported as per-word means, excluding the penalty term.
+returns.  ``train_latent_union`` reads that fit as a Gaussian factor model
+(Tipping & Bishop's probabilistic PCA): component variances s^2 / n, and
+per-entry noise from the discarded spectrum.  It keeps the fit's maps and
+gives every word the posterior mean of its meta-vector given the vectors
+the sets hold for it: one ridge solve per presence pattern, shifted by
+noise over component variance.  Each missing vector is its word's image
+under the set's map, which is its conditional mean given the word's
+known vectors.  There are no epochs, and no setting is read.  Losses are
+reported as per-word means, excluding the penalty term.
 """
 
 from __future__ import annotations
@@ -35,15 +33,10 @@ import numpy as np
 
 from .io import EmbeddingSet
 from .linalg import min_norm_solve, normalize_columns, normalize_rows, truncated_svd
-from .optimizer import (
-    INIT_RANGE,
-    TrainConfig,
-    TrainReport,
-    adagrad_update,
-    loss_plateaued,
-    minibatches,
-    seeded_rng,
-)
+from .optimizer import TrainConfig, TrainReport
+
+# Not called here; perfbench/child.py wraps these names in this module.
+from .optimizer import adagrad_update, loss_plateaued, minibatches, seeded_rng  # noqa: F401
 from .vocab import VocabAlignment
 
 CONCAT = "concat"
@@ -137,12 +130,12 @@ def prediction_loss_grads(
     return data_loss, grad_meta, grad_maps, grad_targets
 
 
-def _residual(meta, maps, targets, col_weights, out=None):
-    """``meta @ maps.T - targets`` of stacked maps and targets, written into
-    ``out`` if given, and its squared error summed with gamma as weight."""
-    residual = np.matmul(meta, maps.T, out=out)
+def _loss(meta, maps, targets, col_weights):
+    """The squared error of ``meta @ maps.T`` against stacked targets, summed
+    with gamma as the columns' weight."""
+    residual = meta @ maps.T
     residual -= targets
-    return residual, float(col_weights @ np.einsum("ij,ij->j", residual, residual))
+    return float(col_weights @ np.einsum("ij,ij->j", residual, residual))
 
 
 def _stacking(sets, weights):
@@ -154,18 +147,30 @@ def _stacking(sets, weights):
 
 def _shared_fit(targets, col_weights, dim):
     """``train_latent``'s meta-vectors ``u s`` and stacked maps
-    ``v / sqrt(gamma)`` for the sets' shared rows side by side."""
+    ``v / sqrt(gamma)`` for the rows of ``targets``, and the shift
+    sigma^2 n / s^2 of that fit read as a Gaussian factor model: component
+    variances s^2 / n, and a noise variance sigma^2 per entry, the
+    discarded spectrum's unbiased estimate (||sqrt(gamma) targets||_F^2 -
+    sum s^2) / ((n - dim)(sum_i d_i - dim)), clipped at 0 (0 when no
+    degree of freedom is left)."""
     root = np.sqrt(col_weights)
-    result = truncated_svd(targets * root, dim)
-    return result.u_d * result.singular_values, result.v_d / root[:, None]
+    weighted = targets * root
+    result = truncated_svd(weighted, dim)
+    s = result.singular_values
+    n = len(targets)
+    dof = (n - dim) * (len(col_weights) - dim)
+    noise = max(np.vdot(weighted, weighted) - s @ s, 0.0) / dof if dof else 0.0
+    return result.u_d * s, result.v_d / root[:, None], noise * n / (s * s)
 
 
-def _union_start(alignment, gammas, blocks, maps, targets):
-    """Each union word's minimum-norm least-squares meta-vector over its known
-    targets, the maps fixed: one ``min_norm_solve`` per presence pattern of
-    the normal matrix sum_i gamma_i M_i^T M_i, whose sum_i d_i rows set its
-    rounding noise.  For shared words that matrix is ``v^T v``, the identity,
-    so they get ``train_latent``'s ``u s`` up to rounding."""
+def _posterior_means(alignment, gammas, blocks, maps, shift, targets):
+    """Each union word's posterior-mean meta-vector given the vectors the sets
+    hold for it, the maps fixed: one ``min_norm_solve`` per presence pattern
+    of the normal matrix sum_i gamma_i M_i^T M_i plus ``diag(shift)``, whose
+    sum_i d_i rows set its rounding noise.  Words every set holds are the
+    fit's own sample and take no shift: their normal matrix is ``v^T v``, the
+    identity, so they get the fit's ``u s`` up to rounding.  With no shift
+    each word gets its minimum-norm least-squares meta-vector."""
     present = alignment.presence
     meta = np.zeros((len(alignment.union), maps.shape[1]))
     for gamma, block, known in zip(gammas, blocks, present):  # the normal equations' right sides
@@ -175,7 +180,10 @@ def _union_start(alignment, gammas, blocks, maps, targets):
     patterns, inverse = np.unique(present.T, axis=0, return_inverse=True)
     for j, pattern in enumerate(patterns):
         rows = inverse.reshape(-1) == j
-        meta[rows] = min_norm_solve(grams[pattern].sum(axis=0), meta[rows], pattern @ dims)
+        gram = grams[pattern].sum(axis=0)
+        if not pattern.all():
+            gram += np.diag(shift)
+        meta[rows] = min_norm_solve(gram, meta[rows], pattern @ dims)
     return meta
 
 
@@ -207,15 +215,12 @@ def train_latent(
         raise ValueError("empty shared vocabulary")
     shared = alignment.presence.all(axis=0)
     targets = np.hstack([s.matrix[alignment.rows_for(s)[shared]] for s in sets])
-    meta, maps = _shared_fit(targets, col_weights, dim)
-    report = TrainReport(final_loss=_residual(meta, maps, targets, col_weights)[1] / len(meta))
+    meta, maps, _ = _shared_fit(targets, col_weights, dim)
+    report = TrainReport(final_loss=_loss(meta, maps, targets, col_weights) / len(meta))
     maps_by_name = {s.name: maps[block] for s, block in zip(sets, blocks)}
     return EmbeddingSet(LATENT, alignment.intersection, meta), maps_by_name, report
 
 
-# A diverging run overflows to inf or nan; the epoch check names that
-# instead of numpy's own warnings.
-@np.errstate(over="ignore", invalid="ignore")
 def train_latent_union(
     sets: list[EmbeddingSet],
     alignment: VocabAlignment,
@@ -223,28 +228,24 @@ def train_latent_union(
     dim: int = DEFAULT_DIM,
     config: TrainConfig | None = None,
 ) -> tuple[EmbeddingSet, list[EmbeddingSet], dict[str, np.ndarray], TrainReport]:
-    """Meta-vectors over the vocabulary union: a closed-form start
-    refined by mini-batch AdaGrad.
+    """Meta-vectors over the vocabulary union, in closed form.
 
-    The start keeps ``train_latent``'s maps and gives every word its
-    minimum-norm least-squares meta-vector over the sets that hold it
-    (shared words ``train_latent``'s, up to rounding).  Where the shared
-    words cannot support ``dim`` (none shared, ``dim`` above their rank,
-    or Gram overflow), meta-vectors and maps start from small seeded
-    random values instead.  AdaGrad refines only meta-vectors and maps;
-    each vector a set is missing is its word's meta-vector mapped into
-    the set's space (the start's image, a fixed target during the epochs,
-    then the returned model's), so ``start_loss`` and ``final_loss``
-    count the known vectors alone.  Known vectors are never modified.
-    The start's loss counts as epoch 0 for the plateau rule, and the
-    start is returned unless the refined loss is lower.  Raises
-    ``ValueError`` unless ``1 <= dim <= min(union words, summed set
-    dims)``, and at the first epoch whose loss is not finite.  Returns
-    the meta-embeddings (named ``latent_union``), each input set
-    extended to the union vocabulary, the maps as in ``train_latent``,
-    and the training report.
+    Fits ``train_latent``'s maps to the words every set holds, and gives
+    every union word the posterior mean of its meta-vector given the
+    vectors the sets hold for it (shared words ``train_latent``'s, up to
+    rounding).  Each vector a set is missing is its word's meta-vector
+    mapped into the set's space, which is the Gaussian conditional mean of
+    that vector given the word's known ones.  Where the shared words
+    cannot support ``dim`` (none shared, or ``dim`` above their rank), the
+    same fit is taken over every union word with missing vectors as zeros
+    (``report.start`` is then ``"union"``, else ``"shared"``).  Known
+    vectors are never modified, and ``final_loss`` counts them alone.
+    ``config`` is not read.  Raises ``ValueError`` unless ``1 <= dim <=
+    min(union words, summed set dims)``, when ``dim`` exceeds the rank of
+    the zero-filled union, or when its Gram matrix overflows.  Returns the
+    meta-embeddings (named ``latent_union``), each input set extended to
+    the union vocabulary, the maps as in ``train_latent``, and the report.
     """
-    config = config or TrainConfig.union_defaults()
     if len(sets) < 2:
         raise ValueError(f"need at least 2 embedding sets, got {len(sets)}")
     gammas, col_weights, blocks = _stacking(sets, weights)
@@ -257,47 +258,21 @@ def train_latent_union(
     targets = np.empty((n, len(col_weights)))  # each set's vectors over the union, side by side
     for s, block in zip(sets, blocks):  # rows of -1 are placeholders until _write_images
         np.take(s.matrix, alignment.rows_for(s), axis=0, out=targets[:, block], mode="wrap")
+    start = "shared"
     try:
-        maps = _shared_fit(targets[alignment.presence.all(axis=0)], col_weights, dim)[1]
+        _, maps, shift = _shared_fit(targets[alignment.presence.all(axis=0)], col_weights, dim)
     except ValueError:  # no shared word, dim above their rank, or Gram overflow
-        report = TrainReport(start="random")
-        rng = seeded_rng(config.seed)
-        meta = rng.uniform(-INIT_RANGE, INIT_RANGE, (n, dim))
-        maps = rng.uniform(-INIT_RANGE, INIT_RANGE, (len(col_weights), dim))  # each set's, in order
-    else:
-        report = TrainReport(start="closed_form")
-        meta = _union_start(alignment, gammas, blocks, maps, targets)
+        start = "union"
+        for block, missing in zip(blocks, hidden):
+            targets[missing, block] = 0.0
+        _, maps, shift = _shared_fit(targets, col_weights, dim)  # overflow raises again
+    meta = _posterior_means(alignment, gammas, blocks, maps, shift, targets)
     _write_images(meta, maps, targets, blocks, hidden)
-
-    lr, eps = config.learning_rate, config.adagrad_epsilon
-    out = np.empty_like(targets)  # every residual is written into its leading rows
-    report.start_loss = _residual(meta, maps, targets, col_weights, out)[1] / n
-    start_meta, start_maps = meta.copy(), maps  # adagrad_update returns new maps
-    meta_accum, maps_accum = np.zeros_like(meta), np.zeros_like(maps)
-    for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        for batch in map(np.sort, minibatches(n, config.batch_size, config.seed, epoch)):
-            rows = slice(None) if len(batch) == n else batch
-            x = meta[rows]  # x, targets[rows] and meta[rows] are views for the whole union
-            residual, loss = _residual(x, maps, targets[rows], col_weights, out[: len(batch)])
-            epoch_loss += loss
-            residual *= 2.0 * col_weights  # the loss's gradient in the predictions
-            g_meta = residual @ maps
-            g_maps = residual.T @ x + 2.0 * config.l2_weight * maps
-            meta[rows], meta_accum[rows] = adagrad_update(x, g_meta, meta_accum[rows], lr, eps)
-            maps, maps_accum = adagrad_update(maps, g_maps, maps_accum, lr, eps)
-            report.steps += 1
-        report.epoch_losses.append(epoch_loss / n)
-        if not np.isfinite(epoch_loss):
-            raise ValueError(f"training diverged: epoch {epoch + 1} loss is {epoch_loss}")
-        if loss_plateaued([report.start_loss, *report.epoch_losses]):
-            break
-    _write_images(meta, maps, targets, blocks, hidden)
-    report.final_loss = _residual(meta, maps, targets, col_weights, out)[1] / n
-    if not report.final_loss < report.start_loss:
-        meta, maps = start_meta, start_maps
-        _write_images(meta, maps, targets, blocks, hidden)
-        report.final_loss = report.start_loss
+    known_loss = sum(
+        _loss(meta[known], maps[block], targets[known, block], col_weights[block])
+        for block, known in zip(blocks, alignment.presence)
+    )
+    report = TrainReport(final_loss=known_loss / n, start=start)
     extended = [EmbeddingSet(s.name, vocab, targets[:, block]) for s, block in zip(sets, blocks)]
     maps_by_name = {s.name: maps[block] for s, block in zip(sets, blocks)}
     return EmbeddingSet(LATENT_UNION, vocab, meta), extended, maps_by_name, report

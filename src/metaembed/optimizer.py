@@ -1,9 +1,11 @@
-"""Mini-batch AdaGrad machinery of the union meta-embedding trainer.
+"""Training settings, training reports, seeded randomness, and AdaGrad.
 
-The trainer draws its randomness from a single seed, shuffles word
-indices into batches once per epoch, and applies a per-parameter
-AdaGrad rule.  Epoch-mean losses are tracked so training can stop
-early once improvement stalls.
+Every fit in the package is closed-form, so production code uses only
+``seeded_rng`` (the ``random`` fill strategy), ``TrainConfig`` and
+``TrainReport``.  The mini-batch AdaGrad pieces (``adagrad_update``,
+``minibatches``, ``loss_plateaued``) have no production caller; they
+stay importable from ``ensemble`` and ``oov``, where the benchmark's
+tracer looks them up.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ INIT_RANGE = 0.05  # uniform [-INIT_RANGE, INIT_RANGE] parameter init
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    ``union_defaults`` gives the tuned values for union training, the
-    one AdaGrad run.  ``train_latent`` is a closed form that reads no
-    field, and ``projection_defaults`` gives the values for pairwise
-    projections, whose closed-form fit reads only ``l2_weight``.
+    ``train_latent`` and ``train_latent_union`` are closed forms that read
+    no field; ``union_defaults`` keeps the values their former AdaGrad runs
+    were tuned to.  ``projection_defaults`` gives the values for pairwise
+    projections, whose closed-form fit reads only ``l2_weight``, and the
+    ``random`` fill strategy reads only ``seed``.
     """
 
     batch_size: int = 200
@@ -60,7 +63,7 @@ class TrainConfig:
 
     @classmethod
     def union_defaults(cls, **overrides) -> "TrainConfig":
-        """Defaults for joint training over the vocabulary union."""
+        """Defaults once tuned for AdaGrad training over the vocabulary union."""
         params = dict(batch_size=2000, learning_rate=0.005, l2_weight=5e-4)
         params.update(overrides)
         return cls(**params)
@@ -68,17 +71,18 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch mean losses and final state of one training run.
+    """Per-word loss and state of one fit.
 
-    ``start`` names how the union trainer started (``"closed_form"`` or
-    ``"random"``) and ``start_loss`` is its per-word loss there.
+    The fits are closed-form, so ``epoch_losses`` stays empty and ``steps``
+    0.  ``start`` names which rows fitted the union maps (``"shared"``, the
+    words every set holds, or ``"union"``, every word with missing vectors
+    as zeros); other fits leave it empty.
     """
 
     epoch_losses: list[float] = field(default_factory=list)
     final_loss: float = float("nan")
     steps: int = 0
     start: str = ""
-    start_loss: float = float("nan")
 
 
 def seeded_rng(seed: int, *streams: int) -> np.random.Generator:

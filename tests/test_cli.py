@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from metaembed import cli
 from metaembed.cli import main, parse_set_spec, resolve_dataset
 from metaembed.io import EmbeddingSet, load_embedding_set, save_embedding_set
 
@@ -156,28 +157,24 @@ class TestBuild:
         assert rc == 1
         assert "at least 2" in capsys.readouterr().err
 
-    def test_config_file_with_flag_override(self, toy_files):
-        tmp_path, paths = toy_files
+    def test_config_file_with_flag_override(self, ab_files):
+        tmp_path, paths = ab_files
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "sets": set_args(paths),
-            "method": "latent_union",
-            "dim": 3,
-            "epochs": 5,
+            "strategy": "random",
             "seed": 11,
         }))
         out_a = tmp_path / "from_config"
-        assert main(["build", "--config", str(config), "--out", str(out_a)]) == 0
-        meta_a = json.loads((out_a / "latent_union.json").read_text())
-        assert meta_a["epochs_run"] == 5
-        assert meta_a["seed"] == 11
+        assert main(["extend", "--config", str(config), "--out", str(out_a)]) == 0
+        assert json.loads((out_a / "extend.json").read_text())["seed"] == 11
 
         out_b = tmp_path / "flag_wins"
         assert main([
-            "build", "--config", str(config), "--out", str(out_b), "--epochs", "3",
+            "extend", "--config", str(config), "--out", str(out_b), "--seed", "3",
         ]) == 0
-        meta_b = json.loads((out_b / "latent_union.json").read_text())
-        assert meta_b["epochs_run"] == 3
+        assert json.loads((out_b / "extend.json").read_text())["seed"] == 3
+        assert outputs(out_a) != outputs(out_b)  # the fills were drawn from the typed seed
 
     def test_latent_sidecar_records_no_training_settings(self, toy_files):
         tmp_path, paths = toy_files
@@ -224,7 +221,7 @@ class TestBuild:
     def test_diverging_run_reports_only_the_named_error(self, huge_files, capsys):
         assert self.run_warnings_as_errors(huge_files, "latent_union") == 1
         err = capsys.readouterr().err
-        assert err == "error: training diverged: epoch 1 loss is inf\n"
+        assert err == "error: the Gram matrix of the 50x8 matrix is not finite\n"
 
     def test_latent_overflow_reports_only_the_named_error(self, huge_files, capsys):
         assert self.run_warnings_as_errors(huge_files, "latent") == 1
@@ -244,9 +241,11 @@ class TestBuild:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("method, flags, named", [
-        ("concat", ["--dim", "2", "--epochs", "5", "--lr", "3"], "--dim, --lr, --epochs"),
+        ("concat", ["--dim", "2", "--epochs", "5", "--l2", "3"], "--dim, --l2, --epochs"),
         ("svd", ["--dim", "3", "--epochs", "5"], "--epochs"),
         ("latent", ["--dim", "3", "--epochs", "5", "--l2", "0.1", "--seed", "2"],
+         "--l2, --epochs, --seed"),
+        ("latent_union", ["--dim", "3", "--epochs", "5", "--l2", "0.1", "--seed", "2"],
          "--l2, --epochs, --seed"),
     ])
     def test_unused_options_warned(self, toy_files, capsys, method, flags, named):
@@ -260,14 +259,14 @@ class TestBuild:
         assert capsys.readouterr().err == expected
 
     def test_trained_methods_read_every_option(self, toy_files, capsys):
+        # latent and latent_union read --dim and the set weights, and no setting
         tmp_path, paths = toy_files
-        rc = main([
-            "build", "--sets", *set_args(paths), "--method", "latent_union",
-            "--out", str(tmp_path / "latent_union"), "--dim", "2", "--epochs", "3",
-            "--lr", "0.01", "--batch-size", "5", "--l2", "0.001",
-            "--adagrad-epsilon", "1e-6", "--seed", "2",
-        ])
-        assert rc == 0
+        for method in ("latent", "latent_union"):
+            rc = main([
+                "build", "--sets", *set_args(paths, {"alpha": 2}), "--method", method,
+                "--out", str(tmp_path / method), "--dim", "2",
+            ])
+            assert rc == 0
         assert capsys.readouterr().err == ""
 
 
@@ -314,20 +313,14 @@ class TestExtend:
     def test_unused_training_options_warned(self, partial_files, capsys):
         tmp_path, paths = partial_files
         config = tmp_path / "extend.json"
-        config.write_text(json.dumps({"batch_size": 10, "l2_weight": 0.1}))
+        config.write_text(json.dumps({"epochs": 10, "l2_weight": 0.1}))
         rc = main([
             "extend", "--sets", *set_args(paths), "--config", str(config),
-            "--strategy", "projected", "--out", str(tmp_path / "warn"),
-            "--epochs", "5", "--lr", "0.1", "--seed", "1",
+            "--strategy", "projected", "--out", str(tmp_path / "warn"), "--seed", "1",
         ])
         assert rc == 0
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert "--epochs" in lines[0]
-        assert "--batch-size" in lines[0]
-        assert "--lr" in lines[0]
-        assert "--adagrad-epsilon" not in lines[0]
-        assert "--l2" not in lines[0]
+        assert lines == ["warning: no effect on extend --strategy projected: --epochs, --seed"]
 
     def test_no_warning_without_training_options(self, partial_files, capsys):
         # projected reads --l2 but not --seed, which only random fills draw on
@@ -586,15 +579,15 @@ class TestMakeTrainConfig:
         # the file beats the defaults, and typed flags beat the file
         tmp_path, paths = toy_files
         config = tmp_path / "train.json"
-        config.write_text(json.dumps({"epochs": 9, "seed": 4}))
-        out_dir = tmp_path / "out"
-        assert main([
-            "build", "--sets", *set_args(paths), "--method", "latent_union", "--dim", "2",
-            "--config", str(config), "--out", str(out_dir), "--epochs", "3", "--lr", "0.5",
-        ]) == 0
-        sidecar = json.loads((out_dir / "latent_union.json").read_text())
-        assert (sidecar["epochs"], sidecar["seed"], sidecar["learning_rate"]) == (3, 4, 0.5)
-        assert sidecar["batch_size"] == 2000
+        config.write_text(json.dumps({"dim": 3, "method": "latent"}))
+        for typed, dim in (([], 3), (["--dim", "2"], 2)):
+            out_dir = tmp_path / f"out{dim}"
+            assert main([
+                "build", "--sets", *set_args(paths), "--method", "latent_union",
+                "--config", str(config), "--out", str(out_dir), *typed,
+            ]) == 0
+            sidecar = json.loads((out_dir / "latent_union.json").read_text())
+            assert (sidecar["method"], sidecar["dim"]) == ("latent_union", dim)
 
 
 class TestConfigFile:
@@ -610,8 +603,8 @@ class TestConfigFile:
         {"method": "svd", "dim": 2.7},
         {"method": "latent_union", "seed": 1.5},
         {"method": "cbow"},
-        {"method": "latent_union", "learning_rate": "fast"},
-    ], ids=["bool-epochs", "float-dim", "float-seed", "unknown-method", "text-lr"])
+        {"method": "latent_union", "l2_weight": "fast"},
+    ], ids=["bool-epochs", "float-dim", "float-seed", "unknown-method", "text-l2"])
     def test_badly_typed_value_is_an_argparse_error(self, toy_files, capsys, config):
         tmp_path, paths = toy_files
         path = self.write(tmp_path, {"sets": set_args(paths), **config})
@@ -623,19 +616,35 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @staticmethod
+    def parsed_args(monkeypatch, command):
+        """The arguments ``command`` is run with, recorded in a list instead."""
+        parsed = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(args) or 0)
+        return parsed
+
     @pytest.mark.parametrize("key, text, field, value", [
         ("epochs", "5", "epochs", 5),
-        ("learning_rate", "0.1", "learning_rate", 0.1),
+        ("l2_weight", "0.1", "l2_weight", 0.1),
         ("dim", "2", "dim", 2),
     ])
-    def test_number_as_text_is_read_as_its_flag(self, toy_files, key, text, field, value):
+    def test_number_as_text_is_read_as_its_flag(self, toy_files, monkeypatch, key, text, field,
+                                                value):
         tmp_path, paths = toy_files
+        parsed = self.parsed_args(monkeypatch, "build")
         config = {
             "sets": set_args(paths), "method": "latent_union", "epochs": 2, "dim": 2, key: text,
         }
-        out_dir = tmp_path / "out"
-        assert main(["build", "--config", self.write(tmp_path, config), "--out", str(out_dir)]) == 0
-        assert json.loads((out_dir / "latent_union.json").read_text())[field] == value
+        assert main(["build", "--config", self.write(tmp_path, config), "--out", "x"]) == 0
+        assert getattr(parsed[0], field) == value
+
+    def test_byte_order_mark_is_skipped(self, toy_files):
+        tmp_path, paths = toy_files
+        path = tmp_path / "bom.json"
+        config = {"sets": set_args(paths), "method": "latent", "dim": 2}
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(config).encode("utf-8"))
+        assert main(["build", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "latent.json").read_text())["dim"] == 2
 
     def test_sets_as_one_string_is_one_set(self, toy_files, capsys):
         tmp_path, paths = toy_files
@@ -664,32 +673,20 @@ class TestConfigFile:
         ("method", "concat", "svd"),
         ("dim", 2, "3"),
         ("strategy", "random", "average"),
-        ("batch_size", 7, "5"),
-        ("learning_rate", 0.02, "0.01"),
         ("l2_weight", 0.01, "0.001"),
         ("epochs", 4, "3"),
         ("seed", 9, "2"),
-        ("adagrad_epsilon", 1e-4, "1e-06"),
     ])
-    def test_typed_flag_beats_file(self, toy_files, key, file_value, typed):
+    def test_typed_flag_beats_file(self, toy_files, monkeypatch, key, file_value, typed):
         tmp_path, paths = toy_files
-        flag = {"batch_size": "--batch-size", "learning_rate": "--lr", "l2_weight": "--l2",
-                "adagrad_epsilon": "--adagrad-epsilon"}.get(key, f"--{key}")
-        if key == "strategy":
-            command, base, sidecar = "extend", {}, "extend.json"
-        elif key in ("method", "dim"):
-            command, base, sidecar = "build", {"method": "svd", "dim": 3}, "svd.json"
-        else:
-            command, base = "build", {"method": "latent_union", "dim": 2, "epochs": 2}
-            sidecar = "latent_union.json"
-        config = {"sets": set_args(paths), **base, key: file_value}
-        out_dir = tmp_path / "out"
+        command = "extend" if key == "strategy" else "build"
+        parsed = self.parsed_args(monkeypatch, command)
+        config = {"sets": set_args(paths), key: file_value}
         assert main([
-            command, "--config", self.write(tmp_path, config), "--out", str(out_dir),
-            flag, typed,
+            command, "--config", self.write(tmp_path, config), "--out", "x",
+            cli._FLAGS[key], typed,
         ]) == 0
-        recorded = json.loads((out_dir / sidecar).read_text())[key]
-        assert str(recorded) == typed
+        assert str(getattr(parsed[0], key)) == typed
 
     def test_typed_sets_beat_file(self, toy_files):
         tmp_path, paths = toy_files
@@ -817,22 +814,18 @@ class TestSidecars:
         assert sets[0]["weight"] == 2.0
         assert sets[0].get("column_normalize", True) is True
 
-    def test_latent_union_records_every_training_setting(self, toy_files):
+    def test_latent_union_records_its_fit_and_no_setting(self, toy_files):
         tmp_path, paths = toy_files
         out_dir = tmp_path / "union"
         assert main([
             "build", "--sets", *set_args(paths), "--method", "latent_union", "--dim", "2",
-            "--epochs", "3", "--adagrad-epsilon", "1e-06", "--seed", "5", "--out", str(out_dir),
+            "--out", str(out_dir),
         ]) == 0
         sidecar = json.loads((out_dir / "latent_union.json").read_text())
         assert set(sidecar) == {
-            "method", "dim", "words", "sets", "final_loss", "epochs_run", "batch_size",
-            "learning_rate", "l2_weight", "epochs", "seed", "adagrad_epsilon", "start",
-            "start_loss",
+            "method", "dim", "words", "sets", "final_loss", "epochs_run", "start",
         }
-        assert (sidecar["epochs"], sidecar["adagrad_epsilon"], sidecar["seed"]) == (3, 1e-6, 5)
-        assert sidecar["start"] == "closed_form"
-        assert sidecar["batch_size"] == 2000
+        assert (sidecar["epochs_run"], sidecar["start"]) == (0, "shared")
 
     def test_extend_keeps_its_seed(self, toy_files):
         tmp_path, paths = toy_files
@@ -904,27 +897,13 @@ class TestReads:
         with pytest.raises(SystemExit):
             main(["extend", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "--l2 L2_WEIGHT read by latent_union, projected" in help_text
-        assert "--seed SEED read by latent_union, random" in help_text
-        assert "--lr LEARNING_RATE read by latent_union" in help_text
+        assert "--l2 L2_WEIGHT read by projected" in help_text
+        assert "--seed SEED read by random" in help_text
+        assert "--epochs EPOCHS read by nothing (no effect)" in help_text
+        assert "--lr" not in help_text
 
 
 class TestTrainingSettings:
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--adagrad-epsilon", "inf", "adagrad_epsilon must be > 0 and finite, got inf"),
-        ("--lr", "nan", "learning_rate must be > 0 and finite, got nan"),
-        ("--l2", "inf", "l2_weight must be >= 0 and finite, got inf"),
-    ])
-    def test_non_finite_union_setting_is_an_error(self, toy_files, capsys, flag, value, message):
-        tmp_path, paths = toy_files
-        rc = main([
-            "build", "--sets", *set_args(paths), "--method", "latent_union", "--dim", "2",
-            flag, value, "--out", str(tmp_path / "x"),
-        ])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "x").exists()
-
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_projection_l2_is_an_error(self, ab_files, capsys, value):
         tmp_path, paths = ab_files
@@ -941,7 +920,7 @@ class TestTrainingSettings:
         tmp_path, paths = toy_files
         rc = main([
             "build", "--sets", *set_args(paths), "--method", "latent_union", "--dim", dim,
-            "--epochs", "1", "--out", str(tmp_path / "x"),
+            "--out", str(tmp_path / "x"),
         ])
         assert rc == 1
         assert capsys.readouterr().err == (

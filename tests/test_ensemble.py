@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -11,7 +10,6 @@ from conftest import (
     regression_r2,
 )
 
-from metaembed import ensemble
 from metaembed.ensemble import (
     CONCAT,
     LATENT,
@@ -25,13 +23,7 @@ from metaembed.ensemble import (
 )
 from metaembed.io import EmbeddingSet
 from metaembed.linalg import normalize_rows, truncated_svd
-from metaembed.optimizer import (
-    EARLY_STOP_WINDOW,
-    TrainConfig,
-    adagrad_update,
-    loss_plateaued,
-    minibatches,
-)
+from metaembed.optimizer import TrainConfig
 from metaembed.vocab import VocabAlignment, align
 
 
@@ -45,51 +37,6 @@ def make_sets(rng, vocab, dims, names=None):
 
 def unit_weights(sets):
     return {s.name: 1.0 for s in sets}
-
-
-def per_set_training(sets, alignment, weights, dim, config):
-    """What ``train_latent_union`` computes, as a loop over the sets:
-    ``prediction_loss_grads`` without masks, then ``adagrad_update`` for
-    the batch's meta rows and each map, in ``minibatches`` order, every
-    target held fixed; after the epochs each missing vector is set to its
-    word's meta-vector mapped into the set.  It starts from the start that
-    ``train_latent_union`` returns when one epoch cannot beat it.
-    Returns (meta, maps, targets, epochs run, steps, start name)."""
-    first = dataclasses.replace(config, epochs=1, learning_rate=1e3)
-    meta, extended, maps, report = train_latent_union(sets, alignment, weights, dim, first)
-    assert report.final_loss == report.start_loss  # so these are the start
-    meta, n = meta.matrix.copy(), len(alignment.union)
-    maps = [maps[s.name].copy() for s in sets]
-    targets = [e.matrix.copy() for e in extended]
-    start = (meta.copy(), list(maps), [t.copy() for t in targets])
-    missing = [alignment.rows_for(s) < 0 for s in sets]
-    gammas = [weights[s.name] for s in sets]
-    lr, eps = config.learning_rate, config.adagrad_epsilon
-    meta_accum = np.zeros_like(meta)
-    map_accums = [np.zeros_like(m) for m in maps]
-    losses, steps = [], 0
-    for epoch in range(config.epochs):
-        total = 0.0
-        for batch in minibatches(n, config.batch_size, config.seed, epoch):
-            loss, g_meta, g_maps, _ = prediction_loss_grads(
-                meta[batch], maps, [t[batch] for t in targets], gammas, config.l2_weight
-            )
-            total += loss
-            meta[batch], meta_accum[batch] = adagrad_update(
-                meta[batch], g_meta, meta_accum[batch], lr, eps
-            )
-            for i in range(len(maps)):
-                maps[i], map_accums[i] = adagrad_update(maps[i], g_maps[i], map_accums[i], lr, eps)
-            steps += 1
-        losses.append(total / n)
-        if loss_plateaued([report.start_loss, *losses]):
-            break
-    for target, m, rows in zip(targets, maps, missing):
-        target[rows] = meta[rows] @ m.T
-    final_loss = prediction_loss_grads(meta, maps, targets, gammas, 0.0)[0] / n
-    if not final_loss < report.start_loss:
-        meta, maps, targets = start
-    return meta, maps, targets, len(losses), steps, report.start
 
 
 class TestConcatenate:
@@ -399,8 +346,8 @@ class TestTrainLatentUnion:
         union_meta, extended, union_maps, report = train_latent_union(
             sets, alignment, weights, dim, cfg
         )
-        # the closed-form start is that infimum, and no epoch beats it
-        assert (report.start, report.final_loss) == ("closed_form", report.start_loss)
+        # the shared fit is that infimum
+        assert report.start == "shared"
         bound = loss(plain, plain_maps)
         assert abs(loss(union_meta, union_maps) - bound) <= 1e-9 * bound
         # every word is shared, so the start is train_latent's fit up to rounding
@@ -410,22 +357,10 @@ class TestTrainLatentUnion:
             np.testing.assert_array_equal(original.matrix, ext.matrix)
             np.testing.assert_array_equal(union_maps[original.name], plain_maps[original.name])
 
-    def test_loss_nonincreasing_up_to_tolerance(self):
-        # dim 12 is above the rank 10 of the shared rows: a random start
-        _, _, sets, _, _ = latent_linked_sets(n=120)
-        cfg = TrainConfig(l2_weight=0.0, epochs=300, seed=5)
-        _, _, _, report = train_latent_union(
-            sets, align(sets), {"one": 1.0, "two": 1.0}, 12, cfg
-        )
-        assert report.start == "random"
-        losses = np.array(report.epoch_losses)
-        increases = np.diff(losses)
-        assert (increases <= 1e-6 + 0.01 * losses[:-1]).all()
-
     @pytest.mark.parametrize("hide_fraction", [0.0, 0.3])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_returned_loss_never_above_start_loss(self, seed, hide_fraction):
-        # noisy sets, so neither the start nor any epoch fits exactly
+    def test_final_loss_is_the_returned_models_loss(self, seed, hide_fraction):
+        # noisy sets, so the fit is not exact
         rng = np.random.default_rng(seed)
         words = [f"w{i:03d}" for i in range(150)]
         keep = rng.random(len(words)) >= hide_fraction
@@ -435,12 +370,8 @@ class TestTrainLatentUnion:
                          rng.normal(size=(int(keep.sum()), 9))),
         ]
         weights = {"one": 1.0, "two": 2.0}
-        cfg = TrainConfig.union_defaults(epochs=30, seed=seed, batch_size=50)
-        meta, extended, maps, report = train_latent_union(
-            sets, align(sets), weights, 5, cfg
-        )
-        assert report.start == "closed_form"
-        assert report.final_loss <= report.start_loss
+        meta, extended, maps, report = train_latent_union(sets, align(sets), weights, 5)
+        assert (report.start, report.epoch_losses, report.steps) == ("shared", [], 0)
         returned, *_ = prediction_loss_grads(
             meta.matrix, [maps["one"], maps["two"]], [e.matrix for e in extended],
             [1.0, 2.0], 0.0,
@@ -462,20 +393,10 @@ class TestTrainLatentUnion:
         )
         assert cosines.mean() > 0.999
 
-    def test_unbeaten_start_ends_training_after_the_plateau_window(self):
-        # the start of exact rank-10 sets fits them to rounding
-        _, _, sets, _, _ = latent_linked_sets(n=150, hide_fraction=0.1)
-        cfg = TrainConfig.union_defaults(l2_weight=0.0, epochs=1000, seed=4)
-        _, _, _, report = train_latent_union(
-            sets, align(sets), {"one": 1.0, "two": 1.0}, 10, cfg
-        )
-        assert len(report.epoch_losses) == EARLY_STOP_WINDOW
-        assert report.final_loss == report.start_loss
-
     def test_start_solves_each_patterns_normal_equations(self):
         # Words known to 'a' or 'b' alone span 3 or 5 < dim directions, and
         # 'd' repeats its 4 columns, so words known to 'd' alone span 4 of
-        # its 8: their meta-vectors must be the minimum-norm solutions.
+        # its 8: only the prior's shift makes their normal matrices regular.
         rng = np.random.default_rng(8)
         dims = {"a": 3, "b": 5, "c": 6, "d": 4}
         groups = {"abcd": 40, "a": 5, "b": 5, "c": 5, "d": 5, "ab": 5, "bc": 5}
@@ -488,23 +409,101 @@ class TestTrainLatentUnion:
         sets[3] = EmbeddingSet("d", sets[3].words, np.hstack([sets[3].matrix] * 2))
         weights = {"a": 1.0, "b": 2.0, "c": 0.5, "d": 1.0}
         alignment = align(sets)
-        # one epoch at this rate only raises the loss, so the start is returned
-        cfg = TrainConfig.union_defaults(epochs=1, learning_rate=10.0)
-        meta, extended, maps, report = train_latent_union(sets, alignment, weights, 6, cfg)
-        assert report.start == "closed_form"
-        assert report.final_loss == report.start_loss
+        meta, extended, maps, report = train_latent_union(sets, alignment, weights, 6)
+        assert report.start == "shared"
+        # the shift is noise over component variance, from the shared rows' spectrum
+        shared = [w for w in alignment.union if all(w in s.index for s in sets)]
+        a = np.hstack([np.sqrt(weights[s.name]) * np.array([s.row(w) for w in shared])
+                       for s in sets])
+        top = np.linalg.svd(a, compute_uv=False)[:6]
+        noise = (np.sum(a * a) - np.sum(top**2)) / ((len(shared) - 6) * (a.shape[1] - 6))
+        assert noise > 0
         for k, word in enumerate(alignment.union):
             holders = [s for s in sets if word in s.index]
+            shift = 0.0 if len(holders) == len(sets) else noise * len(shared) / top**2
             x = meta.matrix[k]
             lhs = np.hstack([np.sqrt(weights[s.name]) * maps[s.name].T for s in holders])
             rhs = np.concatenate([np.sqrt(weights[s.name]) * s.row(word) for s in holders])
-            gradient = lhs @ (lhs.T @ x - rhs)
+            gradient = lhs @ (lhs.T @ x - rhs) + shift * x
             assert np.linalg.norm(gradient) <= 1e-9 * np.linalg.norm(lhs @ rhs)
-            min_norm, *_ = np.linalg.lstsq(lhs.T, rhs, rcond=None)
-            np.testing.assert_allclose(x, min_norm, rtol=0, atol=1e-9 * np.linalg.norm(min_norm))
             for s, ext in zip(sets, extended):
                 if word not in s.index:
                     np.testing.assert_allclose(ext.row(word), maps[s.name] @ x, rtol=1e-12)
+
+    @staticmethod
+    def noisy_three_sets():
+        # a rank-4 signal seen with noise through three sets, over every
+        # presence pattern
+        rng = np.random.default_rng(31)
+        groups = {"abc": 48, "ab": 7, "ac": 7, "bc": 7, "a": 7, "b": 7, "c": 7}
+        words = [f"{pattern}{j}" for pattern, count in groups.items() for j in range(count)]
+        z = rng.normal(size=(len(words), 4))
+        sets = []
+        for name, d in zip("abc", (5, 6, 7)):
+            full = z @ rng.normal(size=(4, d)) + 0.3 * rng.normal(size=(len(words), d))
+            rows = [i for i, w in enumerate(words) if name in w.rstrip("0123456789")]
+            sets.append(EmbeddingSet(name, [words[i] for i in rows], full[rows]))
+        return sets, {"a": 2.0, "b": 1.0, "c": 0.5}
+
+    def test_fills_are_the_gaussian_conditional_means(self):
+        # with the shared rows' fit u s v^T, the model's covariance of a
+        # word's stacked vectors is C = M diag(s^2 / n) M^T + sigma^2 diag(1 / gamma),
+        # and each fill must be C_UK C_KK^-1 t_K
+        sets, weights = self.noisy_three_sets()
+        alignment = align(sets)
+        _, extended, _, report = train_latent_union(sets, alignment, weights, 4)
+        assert report.start == "shared"
+        gamma = np.concatenate([np.full(s.dim, weights[s.name]) for s in sets])
+        known = np.repeat(alignment.presence, [s.dim for s in sets], axis=0).T  # words x columns
+        stacked = np.hstack([
+            np.array([s.row(w) if w in s.index else np.full(s.dim, np.nan)
+                      for w in alignment.union])
+            for s in sets
+        ])
+        shared = known.all(axis=1)
+        a = stacked[shared] * np.sqrt(gamma)
+        n, width = a.shape
+        _, s, vt = np.linalg.svd(a, full_matrices=False)
+        noise = (np.sum(a * a) - np.sum(s[:4] ** 2)) / ((n - 4) * (width - 4))
+        maps = vt[:4].T / np.sqrt(gamma)[:, None]
+        cov = maps @ np.diag(s[:4] ** 2 / n) @ maps.T + noise * np.diag(1 / gamma)
+        filled = np.hstack([e.matrix for e in extended])
+        for k in np.flatnonzero(~shared):
+            kn, un = known[k], ~known[k]
+            oracle = cov[np.ix_(un, kn)] @ np.linalg.solve(cov[np.ix_(kn, kn)], stacked[k, kn])
+            assert np.linalg.norm(filled[k, un] - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    def test_outputs_scale_with_the_inputs(self):
+        # the prior's shift is noise over component variance, free of the scale
+        sets, weights = self.noisy_three_sets()
+        scaled = [EmbeddingSet(s.name, s.words, s.matrix * 2.0**10) for s in sets]
+        meta, extended, _, _ = train_latent_union(sets, align(sets), weights, 4)
+        big_meta, big_extended, _, _ = train_latent_union(scaled, align(scaled), weights, 4)
+        for small, big in [(meta, big_meta), *zip(extended, big_extended)]:
+            error = np.linalg.norm(big.matrix - 2.0**10 * small.matrix)
+            assert error <= 1e-12 * np.linalg.norm(big.matrix)
+
+    def test_no_shared_word_fits_the_zero_filled_union(self):
+        # every word is missing from one of the three sets
+        rng = np.random.default_rng(5)
+        words = [f"w{i:02d}" for i in range(45)]
+        sets = [
+            EmbeddingSet(name, words[:15 * k] + words[15 * k + 15:], rng.normal(size=(30, d)))
+            for k, (name, d) in enumerate(zip("abc", (6, 8, 10)))
+        ]
+        weights = {"a": 1.0, "b": 3.0, "c": 0.5}
+        alignment = align(sets)
+        assert not alignment.intersection
+        runs = [train_latent_union(sets, alignment, weights, 5) for _ in range(2)]
+        (meta, extended, maps, report), (again, again_extended, _, _) = runs
+        assert report.start == "union"
+        assert np.isfinite(meta.matrix).all() and np.isfinite(report.final_loss)
+        np.testing.assert_array_equal(meta.matrix, again.matrix)
+        for original, ext, ext_again in zip(sets, extended, again_extended):
+            np.testing.assert_array_equal(ext.matrix, ext_again.matrix)
+            for w in original.words:
+                assert (ext.row(w) == original.row(w)).all()
+        self.assert_missing_vectors_are_images(sets, alignment, meta.matrix, extended, maps)
 
     @staticmethod
     def quarter_hidden_sets():
@@ -518,14 +517,10 @@ class TestTrainLatentUnion:
         ]
         return sets, {"a": 8.0, "b": 1.0, "c": 0.25}
 
-    def unbeaten_start(self, dim):
+    def quarter_hidden_fit(self, dim):
         sets, weights = self.quarter_hidden_sets()
         alignment = align(sets)
-        # one epoch at this rate only raises the loss, so the start is returned
-        # and its missing vectors are derived from the start again
-        cfg = TrainConfig.union_defaults(epochs=1, learning_rate=1e3, batch_size=16)
-        meta, extended, maps, report = train_latent_union(sets, alignment, weights, dim, cfg)
-        assert report.final_loss == report.start_loss
+        meta, extended, maps, report = train_latent_union(sets, alignment, weights, dim)
         return sets, alignment, weights, meta.matrix, extended, maps, report
 
     @staticmethod
@@ -544,60 +539,17 @@ class TestTrainLatentUnion:
             known += weights[s.name] * float(np.sum(residual * residual))
         return known / len(meta)
 
-    @pytest.mark.parametrize("dim, start", [(5, "closed_form"), (18, "random")])
-    def test_start_maps_each_missing_vector_from_its_meta_vector(self, dim, start):
-        sets, alignment, _, meta, extended, maps, report = self.unbeaten_start(dim)
+    @pytest.mark.parametrize("dim, start", [(5, "shared"), (18, "union")])
+    def test_maps_each_missing_vector_from_its_meta_vector(self, dim, start):
+        sets, alignment, _, meta, extended, maps, report = self.quarter_hidden_fit(dim)
         assert report.start == start
         self.assert_missing_vectors_are_images(sets, alignment, meta, extended, maps)
 
     @pytest.mark.parametrize("dim", [5, 18])
-    def test_start_loss_counts_known_vectors_only(self, dim):
-        sets, alignment, weights, meta, _, maps, report = self.unbeaten_start(dim)
+    def test_final_loss_counts_known_vectors_only(self, dim):
+        sets, alignment, weights, meta, _, maps, report = self.quarter_hidden_fit(dim)
         known = self.known_loss(sets, alignment, weights, meta, maps)
-        assert report.start_loss == pytest.approx(known, rel=1e-12)
-
-    @pytest.mark.parametrize("batch_size", [16, 64])  # below and above the 60-word union
-    @pytest.mark.parametrize("dim, start", [(5, "closed_form"), (18, "random")])
-    def test_matches_a_per_set_training_loop(self, batch_size, dim, start):
-        sets, weights = self.quarter_hidden_sets()
-        alignment = align(sets)
-        cfg = TrainConfig.union_defaults(epochs=30, batch_size=batch_size, seed=3,
-                                         learning_rate=0.01)
-        meta, extended, maps, report = train_latent_union(sets, alignment, weights, dim, cfg)
-        ref_meta, ref_maps, ref_targets, epochs_run, steps, ref_start = per_set_training(
-            sets, alignment, weights, dim, cfg
-        )
-        assert report.final_loss < report.start_loss  # trained values, not the start
-        assert (report.start, len(report.epoch_losses), report.steps) == (
-            ref_start, epochs_run, steps
-        )
-        assert report.start == start
-
-        def close(actual, reference):
-            return np.linalg.norm(actual - reference) <= 1e-10 * np.linalg.norm(reference)
-
-        assert close(meta.matrix, ref_meta)
-        for s, ext, ref_map, ref_target in zip(sets, extended, ref_maps, ref_targets):
-            assert close(maps[s.name], ref_map)
-            assert close(ext.matrix, ref_target)
-        self.assert_missing_vectors_are_images(sets, alignment, meta.matrix, extended, maps)
-        known = self.known_loss(sets, alignment, weights, meta.matrix, maps)
         assert report.final_loss == pytest.approx(known, rel=1e-12)
-
-    def test_each_batch_steps_only_meta_rows_and_maps(self, monkeypatch):
-        sets, weights = self.quarter_hidden_sets()
-        calls = []
-
-        def counting_update(*args):
-            calls.append(args[0].shape)
-            return adagrad_update(*args)
-
-        monkeypatch.setattr(ensemble, "adagrad_update", counting_update)
-        cfg = TrainConfig.union_defaults(epochs=3, batch_size=16, seed=3, learning_rate=0.01)
-        meta, _, _, report = train_latent_union(sets, align(sets), weights, 5, cfg)
-        assert report.steps == 3 * 4  # four batches of a 60-word union per epoch
-        assert len(calls) == 2 * report.steps
-        assert {shape[1] for shape in calls} == {meta.dim}  # meta rows and stacked maps
 
     def test_peak_memory_stays_below_five_target_arrays(self):
         # five sets over a 2000-word union at 80% coverage; the per-set loop
@@ -640,7 +592,7 @@ class TestTrainLatentUnion:
         cfg = TrainConfig(epochs=400, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the named error is the only message
-            with pytest.raises(ValueError, match="epoch 1 loss is (inf|nan)"):
+            with pytest.raises(ValueError, match="Gram matrix .* is not finite"):
                 train_latent_union(huge, align(huge), {"one": 1.0, "two": 1.0}, 4, cfg)
 
     def test_overflowing_inputs_with_hidden_words_fail_with_a_named_error(self):
@@ -648,7 +600,7 @@ class TestTrainLatentUnion:
         huge = [EmbeddingSet(s.name, s.words, s.matrix * 1e200) for s in sets]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the named error is the only message
-            with pytest.raises(ValueError, match="epoch 1 loss is (inf|nan)"):
+            with pytest.raises(ValueError, match="Gram matrix .* is not finite"):
                 train_latent_union(huge, align(huge), {"one": 1.0, "two": 1.0}, 4)
 
     def test_known_rows_never_modified(self):

@@ -290,10 +290,12 @@ class TestSave:
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(
+            # save refuses a leading U+FEFF by design; the "\ufeffa" case of
+            # test_unreadable_word_refused_before_writing checks that
             st.text(
                 alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
                 min_size=1, max_size=8,
-            ),
+            ).filter(lambda word: not word.startswith("\ufeff")),
             min_size=1, max_size=6, unique=True,
         ),
         st.integers(min_value=1, max_value=5),
