@@ -225,8 +225,8 @@ def cmd_build(args) -> int:
     vector_path = out_dir / f"{args.method}.txt"
     save_embedding_set(meta, vector_path)
     if extended is not None:
-        for ext in extended:
-            save_embedding_set(ext, out_dir / f"{ext.name}.extended.txt")
+        for ext, source in zip(extended, sets):
+            save_embedding_set(ext, out_dir / f"{ext.name}.extended.txt", source=source)
 
     metadata = {
         "method": args.method,
@@ -253,9 +253,9 @@ def cmd_extend(args) -> int:
     extended = oov.extend_all(sets, config, args.strategy)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for ext in extended:
+    for ext, source in zip(extended, sets):
         path = out_dir / f"{ext.name}.extended.txt"
-        save_embedding_set(ext, path)
+        save_embedding_set(ext, path, source=source)
         print(f"wrote {path} ({len(ext)} words)")
     with open(out_dir / "extend.json", "w", encoding="utf-8") as f:
         json.dump({"strategy": args.strategy, "seed": args.seed or 0}, f, indent=2)

@@ -239,7 +239,9 @@ def train_latent_union(
     cannot support ``dim`` (none shared, or ``dim`` above their rank), the
     same fit is taken over every union word with missing vectors as zeros
     (``report.start`` is then ``"union"``, else ``"shared"``).  Known
-    vectors are never modified, and ``final_loss`` counts them alone.
+    vectors are never modified (saved with their input set as ``source``,
+    they keep its digits on disk, and missing ones get 9 significant
+    digits), and ``final_loss`` counts them alone.
     ``config`` is not read.  Raises ``ValueError`` unless ``1 <= dim <=
     min(union words, summed set dims)``, when ``dim`` exceeds the rank of
     the zero-filled union, or when its Gram matrix overflows.  Returns the

@@ -6,27 +6,35 @@ holds one float64 matrix plus the word list; saving writes records only.
 
 Tokens are opaque, non-empty UTF-8 strings without whitespace; a
 leading byte-order mark is skipped, so no word may begin with U+FEFF.
-Saving refuses any other word, which the loader could not read back;
-values are written with 9 significant digits, so a save/load round trip
-preserves matrices to better than 1e-8 for unit-scale vectors.
+Saving refuses any other word, which the loader could not read back.
+A row that saving copies from its source file (see
+``save_embedding_set``) keeps the source's digits (``0.500000`` stays
+``0.500000``) and reloads bit for bit; every other row is written with 9
+significant digits (``0.5``), so a save/load round trip preserves it to
+better than 1e-8 for unit-scale vectors.
 
 The first load of a file writes two hidden sidecars beside it, keyed by
 the sha256 of its bytes: the float64 matrix as ``.npy`` (8 bytes per
-value) and the kept words; later loads of the same bytes memory-map the
-matrix instead of parsing.  Sidecars of older content, and those of a
-file that is saved over, are removed; any may be deleted.  A directory
-that is unwritable, or whose disk would keep less than three times the
-sidecars' size free, silently gets none.  Loaded matrices are read-only.
+value), and the kept words with their records' byte spans; later loads
+of the same bytes memory-map the matrix instead of parsing.  Sidecars of
+older content, and those of a file that is saved over, are removed; any
+may be deleted.  A directory that is unwritable, or whose disk would
+keep less than three times the sidecars' size free, silently gets none.
+Loaded matrices are read-only.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import mmap
 import os
 import re
 import shutil
 import warnings
-from dataclasses import dataclass
+from array import array
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -35,7 +43,12 @@ import numpy as np
 # Fixed output precision; part of the round-trip contract.
 VALUE_FORMAT = ".9g"
 # Part of every sidecar key: bump it when parsing or the sidecar layout changes.
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
+# Values per block of rows that saving assembles before one write.
+_BLOCK_VALUES = 1 << 15
+# What keeps an ASCII line from being single-spaced tokens and one LF: what
+# str.split() splits at, but for a space between tokens and the LF at the end.
+_ODD_SPACING = (b"  ", b" \n", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 @dataclass(frozen=True)
@@ -50,6 +63,10 @@ class EmbeddingSet:
     name: str
     words: list[str]
     matrix: np.ndarray
+    # For a loaded set, (file path, sha256 of the bytes parsed, spans), which
+    # save_embedding_set reads from its ``source``; spans[i] holds the [start,
+    # end) byte offsets of row i's line in the file, its line end included.
+    _text: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -104,54 +121,71 @@ def load_embedding_set(path, name: str | None = None) -> EmbeddingSet:
     Words keep file order; duplicate words after the first occurrence
     are parsed, then dropped and reported through a warning (on every
     load).  Malformed lines raise ``ValueError`` naming the line number.
+    The set keeps each record's byte span, for ``save_embedding_set``.
     """
     path = Path(path)
-    sidecars = _sidecars(path)
-    cached = _read_cache(*sidecars)
-    words, matrix, duplicates = cached or _parse(path)
+    digest = _digest(path)
+    cached = _read_cache(*_sidecars(path, digest))
+    words, matrix, spans, duplicates = cached or _parse(path)
     # the key is checked again, so a file changed while it was parsed is not
-    # stored under the digest of its earlier bytes
-    if cached is None and _sidecars(path) == sidecars:
-        _write_cache(path, sidecars, words, matrix, duplicates)
+    # stored, or later copied from, under the digest of its earlier bytes
+    if cached is None and _digest(path) == digest:
+        _write_cache(path, digest, words, matrix, spans, duplicates)
+    elif cached is None:
+        spans = None
     if duplicates:
         warnings.warn(
             f"{path}: dropped {duplicates} duplicate word(s), kept first occurrences",
             stacklevel=2,
         )
     matrix.flags.writeable = False
-    return EmbeddingSet(name=path.stem if name is None else name, words=words, matrix=matrix)
+    emb = EmbeddingSet(name=path.stem if name is None else name, words=words, matrix=matrix)
+    if spans is not None:
+        object.__setattr__(emb, "_text", (path.absolute(), digest, spans))
+    return emb
 
 
-def _sidecars(path: Path) -> tuple[Path, Path]:
-    """The .npy and .words sidecar paths, keyed by the file's bytes."""
+def _digest(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         while chunk := f.read(1 << 16):
             digest.update(chunk)
-    stem = f".{path.name}.{digest.hexdigest()}-v{_CACHE_VERSION}"
+    return digest.hexdigest()
+
+
+def _sidecars(path: Path, digest: str) -> tuple[Path, Path]:
+    """The .npy and .words sidecar paths of the bytes with sha256 ``digest``."""
+    stem = f".{path.name}.{digest}-v{_CACHE_VERSION}"
     return path.with_name(f"{stem}.npy"), path.with_name(f"{stem}.words")
 
 
 def _read_cache(npy: Path, vocab: Path):
-    """The stored (words, memory-mapped matrix, duplicates), or None when a
-    sidecar is missing, truncated or disagrees with the other."""
+    """The stored (words, memory-mapped matrix, spans, duplicates), or None
+    when a sidecar is missing, truncated or disagrees with the other.  The
+    .words sidecar holds a "<count> <duplicates>" line, one word a line,
+    and a line of the spans' little-endian int64 bytes in hex."""
     try:
-        head, *words, tail = vocab.read_bytes().decode("utf-8").split("\n")
+        head, *words, spans, tail = vocab.read_bytes().decode("utf-8").split("\n")
         count, duplicates = map(int, head.split())
+        spans = np.frombuffer(bytes.fromhex(spans), dtype="<i8").reshape(-1, 2)
         matrix = np.load(npy, mmap_mode="r")
     except (OSError, ValueError, EOFError):
         return None
-    if tail or matrix.dtype != np.float64 or matrix.ndim != 2 or not count == len(words) == len(matrix):
+    if tail or matrix.dtype != np.float64 or matrix.ndim != 2 or not (
+        count == len(words) == len(matrix) == len(spans)
+    ):
         return None
-    return words, matrix, duplicates
+    return words, matrix, spans, duplicates
 
 
-def _write_cache(path: Path, sidecars, words, matrix, duplicates) -> None:
+def _write_cache(path: Path, digest: str, words, matrix, spans, duplicates) -> None:
     """Write both sidecars, then remove those of other keys.  Nothing is
     written when the disk would keep less than three times their size free,
     which leaves room for the command's own outputs; any ``OSError``, such
     as from a read-only directory, skips the rest silently."""
-    text = "\n".join([f"{len(words)} {duplicates}", *words, ""]).encode("utf-8")
+    hex_spans = spans.astype("<i8").tobytes().hex()
+    text = "\n".join([f"{len(words)} {duplicates}", *words, hex_spans, ""]).encode("utf-8")
+    sidecars = _sidecars(path, digest)
     try:
         if shutil.disk_usage(path.parent).free < 4 * (matrix.nbytes + len(text)):
             return
@@ -182,11 +216,23 @@ def _remove_sidecars(path: Path, keep=()) -> None:
         pass
 
 
+def _non_finite_rows(matrix: np.ndarray) -> np.ndarray:
+    """The rows holding a nan or an infinity.  min and max propagate nan
+    and reach any infinity, without an n x d mask."""
+    return np.flatnonzero(~(np.isfinite(matrix.min(axis=1)) & np.isfinite(matrix.max(axis=1))))
+
+
 def _parse(path: Path):
-    """The kept words, their float64 rows and the dropped-duplicate count."""
-    with open(path, encoding="utf-8-sig") as f:
+    """The kept words, their float64 rows, their records' byte spans (see
+    ``EmbeddingSet._text``) and the dropped-duplicate count."""
+    with open(path, encoding="utf-8") as f:
         first = f.readline()
         records = sum(1 for line in f if line.strip())
+        # a line's UTF-8 size is its size in the file when LF ends every
+        # line; otherwise newline="" keeps each line's own ending to count it
+        newline = None if f.newlines in (None, "\n") else ""
+    offset = len(codecs.BOM_UTF8) if first.startswith("\ufeff") else 0
+    first = first[bool(offset):]
     header = _parse_header(first.split())
     if header is not None and header[0] == records:
         start, dim = 1, header[1]
@@ -197,12 +243,14 @@ def _parse(path: Path):
 
     words: list[str] = []
     seen: set[str] = set()
-    line_numbers = np.empty(records, dtype=np.int64)
+    line_numbers, line_starts = array("q"), array("q")  # of each kept line; of every line
     duplicates = 0
-    with open(path, encoding="utf-8-sig") as f:
+    with open(path, encoding="utf-8-sig", newline=newline) as f:
         if start:
-            f.readline()
+            offset += len(f.readline().encode("utf-8"))
         for lineno, line in enumerate(f, start=start + 1):
+            line_starts.append(offset)
+            offset += len(line) if line.isascii() else len(line.encode("utf-8"))
             parts = line.split()
             if not parts:
                 continue
@@ -226,34 +274,92 @@ def _parse(path: Path):
                 duplicates += 1
                 continue
             seen.add(word)
-            line_numbers[len(words)] = lineno
+            line_numbers.append(lineno)
             words.append(word)
 
     if not words:
         raise ValueError(f"{path}: no vector records found")
     matrix = matrix[: len(words)]
-    # min and max propagate nan and reach any inf, without an n x d mask
-    finite = np.isfinite(matrix.min(axis=1)) & np.isfinite(matrix.max(axis=1))
-    if not finite.all():
-        bad = line_numbers[int(np.flatnonzero(~finite)[0])]
-        raise ValueError(f"{path}: line {bad}: non-finite value")
-    return words, matrix, duplicates
+    bad = _non_finite_rows(matrix)
+    if bad.size:
+        raise ValueError(f"{path}: line {line_numbers[bad[0]]}: non-finite value")
+    line_starts.append(offset)  # where a line after the last would start
+    starts = np.frombuffer(line_starts, dtype=np.int64)
+    kept = np.frombuffer(line_numbers, dtype=np.int64) - (start + 1)  # their indices in starts
+    return words, matrix, np.stack([starts[kept], starts[kept + 1]], axis=1), duplicates
 
 
-def save_embedding_set(emb: EmbeddingSet, path) -> None:
+def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = None) -> None:
     """Write ``emb`` to ``path`` as plain text, one record per line, and
     remove the sidecars of the file it replaces; an empty word, a word
     containing whitespace or beginning with U+FEFF, or a non-finite value
-    raises ``ValueError`` naming the word before the file opens."""
+    raises ``ValueError`` naming the word before the file opens.
+
+    ``source`` is a loaded set that ``emb`` extends.  Each row of ``emb``
+    whose word ``source`` holds with bit-identical values is copied from
+    the source file's record, its tokens joined by single spaces, as long
+    as that file still holds the bytes it was loaded from and is not
+    ``path``; every other row is formatted.  The source is read through a
+    memory map and the output written in blocks of rows: neither text is
+    held whole.
+    """
     unreadable = next((w for w in emb.words if w.split() != [w] or w[0] == "\ufeff"), None)
     if unreadable is not None:
         raise ValueError(f"{path}: word {unreadable!r} is empty or contains whitespace "
                          "or a leading byte-order mark")
-    bad = np.flatnonzero(~np.isfinite(emb.matrix).all(axis=1))
+    bad = _non_finite_rows(emb.matrix)
     if bad.size:
         raise ValueError(f"{path}: non-finite value for word {emb.words[bad[0]]!r}")
-    _remove_sidecars(Path(path))  # they describe the bytes being replaced
+    path = Path(path)
     row_format = " ".join(["%" + VALUE_FORMAT] * emb.dim)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for word, row in zip(emb.words, emb.matrix):
-            f.write(f"{word} {row_format % tuple(row.tolist())}\n")
+    step = max(1, _BLOCK_VALUES // emb.dim)
+    data = _source_bytes(source, path)
+    with nullcontext() if data is None else data:
+        rows = np.full(len(emb), -1)  # each row's source row, or -1 to format it
+        if data is not None:
+            rows = np.fromiter((source.index.get(w, -1) for w in emb.words), np.intp, len(emb))
+        _remove_sidecars(path)  # they describe the bytes being replaced
+        with open(path, "wb") as f:
+            for lo in range(0, len(emb), step):
+                block, copy = emb.matrix[lo:lo + step], rows[lo:lo + step]
+                spans = []
+                if data is not None:
+                    known = np.flatnonzero(copy >= 0)
+                    same = block[known].view(np.int64) == source.matrix[copy[known]].view(np.int64)
+                    copy[known[~same.all(axis=1)]] = -1
+                    spans = source._text[2][copy[copy >= 0]].tolist()
+                spans, values = iter(spans), iter(block[copy < 0].tolist())
+                f.write(b"".join(
+                    _single_spaced(data[slice(*next(spans))]) if row >= 0
+                    else f"{word} {row_format % tuple(next(values))}\n".encode("utf-8")
+                    for word, row in zip(emb.words[lo:lo + step], copy.tolist())
+                ))
+
+
+def _source_bytes(source: EmbeddingSet | None, path: Path) -> mmap.mmap | None:
+    """The mapped bytes of the file ``source`` was loaded from, or None when
+    it was not loaded from a file, that file's bytes changed since, or
+    ``path`` is that file."""
+    if source is None or source._text is None:
+        return None
+    text_path, digest, _ = source._text
+    try:
+        if path.exists() and os.path.samefile(path, text_path):
+            return None
+        with open(text_path, "rb") as f:
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):  # gone, unreadable or empty
+        return None
+    if hashlib.sha256(data).hexdigest() == digest:
+        return data
+    data.close()
+    return None
+
+
+def _single_spaced(line: bytes) -> bytes:
+    """``line``'s tokens, as str.split() finds them, joined by single spaces
+    and ended by one LF."""
+    if (line.isascii() and line.endswith(b"\n") and not line.startswith(b" ")
+            and not any(s in line for s in _ODD_SPACING)):
+        return line
+    return (" ".join(line.decode("utf-8").split()) + "\n").encode("utf-8")

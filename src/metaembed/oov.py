@@ -118,9 +118,11 @@ def fill_oov(
 ) -> EmbeddingSet:
     """Extend ``target`` to the union vocabulary of ``alignment``.
 
-    Known words keep their vectors bit for bit; rows are gathered
-    through ``alignment.rows_for``, so every set passed must be one
-    that was aligned.  For ``projected``, a missing word is filled with
+    Known words keep their vectors bit for bit, and saving the result
+    with ``target`` as ``source`` copies their records from its file, so
+    they keep its digits on disk; filled rows are written with 9
+    significant digits.  Rows are gathered through ``alignment.rows_for``,
+    so every set passed must be one that was aligned.  For ``projected``, a missing word is filled with
     the mean of its projections from exactly the sets that contain it,
     so a projection into the target space is required for every other
     set; each source's rows are projected with one matrix product.

@@ -370,6 +370,54 @@ class TestExtend:
         np.testing.assert_allclose(ext.row("only_b"), expected, atol=1e-8)
 
 
+class TestKnownRowsOnDisk:
+    @pytest.fixture
+    def precise_files(self, tmp_path):
+        """Three sets over 40 words, each missing some, written with 17
+        significant digits, which 9-digit formatting would round."""
+        rng = np.random.default_rng(6)
+        words = [f"w{i:02d}" for i in range(40)]
+        paths = {}
+        for name, vocab, dim in (("a", words[:34], 4), ("b", words[4:], 5), ("c", words[::2], 3)):
+            rows = rng.normal(size=(len(vocab), dim))
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text("".join(
+                f"{w} " + " ".join(format(v, ".17g") for v in row) + "\n" for w, row in zip(vocab, rows)
+            ), encoding="utf-8")
+        return tmp_path, paths
+
+    @pytest.mark.parametrize("command", [
+        ["extend", "--strategy", "projected"],
+        ["build", "--method", "latent_union", "--dim", "3"],
+    ])
+    def test_known_rows_reload_bit_for_bit(self, precise_files, command):
+        tmp_path, paths = precise_files
+        out_dir = tmp_path / "out"
+        assert main([command[0], "--sets", *set_args(paths), *command[1:], "--out", str(out_dir)]) == 0
+        for name, path in paths.items():
+            source = load_embedding_set(path)
+            ext = load_embedding_set(out_dir / f"{name}.extended.txt")
+            assert len(ext) == 40
+            known = ext.matrix[[ext.index[w] for w in source.words]]
+            assert np.array_equal(known.view(np.int64), source.matrix.view(np.int64))
+
+    def test_saving_over_an_input_formats_it(self, precise_files):
+        # --sets a=out/a.extended.txt --out out: each output replaces its own
+        # input, which save must not copy from while it writes
+        tmp_path, paths = precise_files
+        out_dir = tmp_path / "out"
+        assert main(["extend", "--sets", *set_args(paths), "--strategy", "average",
+                     "--out", str(out_dir)]) == 0
+        inputs = {name: out_dir / f"{name}.extended.txt" for name in paths}
+        expected = {}
+        for name, path in inputs.items():
+            save_embedding_set(load_embedding_set(path), tmp_path / "formatted.txt")
+            expected[name] = (tmp_path / "formatted.txt").read_bytes()
+        assert main(["extend", "--sets", *set_args(inputs), "--strategy", "average",
+                     "--out", str(out_dir)]) == 0
+        assert {name: path.read_bytes() for name, path in inputs.items()} == expected
+
+
 class TestEvalCommands:
     @pytest.fixture
     def eval_fixture(self, tmp_path):

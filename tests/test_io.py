@@ -59,6 +59,14 @@ class TestLoad:
         with pytest.raises(ValueError, match="line 2"):
             load_embedding_set(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("bad, error", [("x", "line 4: non-numeric"), ("nan", "line 4: non-finite")])
+    def test_line_numbers_count_every_line_end(self, tmp_path, end, bad, error):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(f"\ufeffa 1 2{end}{end}b 3 4{end}c {bad} 6{end}".encode("utf-8"))
+        with pytest.raises(ValueError, match=error):
+            load_embedding_set(path)
+
     def test_non_finite_value_rejected(self, tmp_path):
         path = write(tmp_path, "a 1 2\nb nan 4\n")
         with pytest.raises(ValueError, match="line 2"):
@@ -217,8 +225,10 @@ class TestCache:
         assert sidecars(path) == []  # no temp file is left either
 
     def test_nearly_full_disk_gets_no_sidecars(self, path, monkeypatch):
-        # 300 x 7 float64 values and the word list: 17 kB of sidecars
-        size = 300 * 7 * 8 + len("300 0\n") + sum(len(f"w{i}\n") for i in range(300))
+        # 300 x 7 float64 values, the word list and the hex line of 300
+        # int64 span pairs: 27 kB of sidecars
+        size = (300 * 7 * 8 + len("300 0\n") + sum(len(f"w{i}\n") for i in range(300))
+                + 300 * 2 * 8 * 2 + len("\n"))
 
         def free(space):
             monkeypatch.setattr(io.shutil, "disk_usage", lambda p: shutil._ntuple_diskusage(
@@ -258,7 +268,8 @@ class TestCache:
     def test_sidecars_of_an_earlier_version_are_not_read(self, tmp_path):
         # version 1 kept a leading byte-order mark in the first word
         path = write(tmp_path, "\ufeffthe 0.1 0.2\ncat 0.3 0.4\n")
-        old = [p.with_name(p.name.replace(f"-v{io._CACHE_VERSION}.", "-v1.")) for p in io._sidecars(path)]
+        old = [p.with_name(p.name.replace(f"-v{io._CACHE_VERSION}.", "-v1."))
+               for p in io._sidecars(path, io._digest(path))]
         np.save(old[0], np.array([[0.1, 0.2], [0.3, 0.4]]))
         old[1].write_text("2 0\n\ufeffthe\ncat\n", encoding="utf-8")
         assert load_embedding_set(path).words == ["the", "cat"]
@@ -352,6 +363,113 @@ class TestSave:
         with pytest.raises(ValueError, match=re.escape(f"word {word!r} is empty or contains whitespace")):
             save_embedding_set(emb, path)
         assert not path.exists()
+
+
+class TestSaveFromSource:
+    """Rows equal to a loaded source's are copied from its file's text."""
+
+    @staticmethod
+    def extended(source):
+        """``source`` plus one word it lacks, as an extended set."""
+        matrix = np.vstack([source.matrix, np.full(source.dim, 9.0)])
+        return EmbeddingSet("x", [*source.words, "zz"], matrix)
+
+    @pytest.mark.parametrize("text, records", [
+        # tabs, repeated and trailing spaces; the source's digits stay
+        ("a\t0.500000  -1.25 \nb 0.100000\t\t2e-3\t \n", "a 0.500000 -1.25\nb 0.100000 2e-3\n"),
+        ("a 0.5 1\r\nb 2 3\r\n", "a 0.5 1\nb 2 3\n"),
+        ("a 0.5 1\rb 2 3\r", "a 0.5 1\nb 2 3\n"),
+        ("a 0.5 1\rb 2 3", "a 0.5 1\nb 2 3\n"),
+        ("2 2\n\na 0.5 1\n \n\n b 2 3\n", "a 0.5 1\nb 2 3\n"),
+        ("\ufeff2 2\r\na 0.5 1\r\nb 2 3\r\n", "a 0.5 1\nb 2 3\n"),
+        ("\ufeffa 0.5 1\nb 2 3\n", "a 0.5 1\nb 2 3\n"),
+        ("a 0.5 1 \nb 2 3\na 7 7\n", "a 0.5 1\nb 2 3\n"),
+        # every other character str.split() splits at, and a non-ASCII word
+        ("a\x0b0.5 1\nb\x0c2 3\nc\x1c4 5\nd\x1d6 7\ne\x1e8 9\nf 1\x1f2\n",
+         "a 0.5 1\nb 2 3\nc 4 5\nd 6 7\ne 8 9\nf 1 2\n"),
+        ("caf\u00e9\u00a00.5\u30001\n\u2003b\u20292 3\x85\n", "caf\u00e9 0.5 1\nb 2 3\n"),
+    ])
+    def test_copied_records_are_single_spaced(self, tmp_path, monkeypatch, text, records):
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode("utf-8"))
+        out = tmp_path / "out.txt"
+        saved = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the duplicate's warning
+            for load in ("cold", "warm"):
+                source = load_embedding_set(path)
+                save_embedding_set(self.extended(source), out, source=source)
+                saved.append(out.read_bytes())
+                refuse_parsing(monkeypatch)
+        assert saved[0] == saved[1] == (records + "zz 9 9\n").encode("utf-8")
+        monkeypatch.undo()
+        back = load_embedding_set(out)
+        assert back.words == [*source.words, "zz"]
+        assert np.array_equal(back.matrix[:-1].view(np.int64), source.matrix.view(np.int64))
+
+    def test_changed_rows_are_formatted(self, tmp_path):
+        source = load_embedding_set(write(tmp_path, "a 0.500000 1\nb 2.000000 3\n"))
+        changed = EmbeddingSet("x", ["b", "a"], [[2.0, 3.0], [-0.0, 1.0]])
+        save_embedding_set(changed, tmp_path / "out.txt", source=source)
+        # -0.0 equals 0.0 but has other bits
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "b 2.000000 3\na -0 1\n"
+
+    def test_source_edited_after_load_is_formatted(self, tmp_path):
+        path = write(tmp_path, "a 0.500000 1\nb 2.000000 3\n")
+        source = load_embedding_set(path)
+        stat = path.stat()
+        path.write_text("a 0.500000 1\nb 2.000000 4\n", encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        save_embedding_set(source, tmp_path / "out.txt", source=source)
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "a 0.5 1\nb 2 3\n"
+
+    def test_file_changed_while_parsed_is_not_copied_from(self, tmp_path, monkeypatch):
+        # the spans are those of the parsed bytes, not of the bytes hashed first
+        path = write(tmp_path, "a 1 2\nb 3 4\n")
+        parse = io._parse
+
+        def rewrite_then_parse(p):
+            p.write_text("a 1.5 2\nb 3 4\n", encoding="utf-8")
+            return parse(p)
+
+        monkeypatch.setattr(io, "_parse", rewrite_then_parse)
+        source = load_embedding_set(path)
+        path.write_text("a 1 2\nb 3 4\n", encoding="utf-8")
+        save_embedding_set(source, tmp_path / "out.txt", source=source)
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "a 1.5 2\nb 3 4\n"
+
+    def test_saving_over_the_source_formats(self, tmp_path):
+        path = write(tmp_path, "a 0.500000 1\nb\t2.000000 3\n")
+        source = load_embedding_set(path)
+        save_embedding_set(self.extended(source), path, source=source)
+        assert path.read_text(encoding="utf-8") == "a 0.5 1\nb 2 3\nzz 9 9\n"
+
+    def test_set_built_in_memory_is_formatted(self, tmp_path):
+        source = EmbeddingSet("s", ["a"], [[0.5, 1.0]])
+        save_embedding_set(self.extended(source), tmp_path / "out.txt", source=source)
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "a 0.5 1\nzz 9 9\n"
+
+    def test_peak_memory_is_well_below_the_output(self, tmp_path):
+        # the source is read through a memory map and the output written
+        # in blocks of rows: neither text is held whole
+        rng = np.random.default_rng(3)
+        matrix = rng.uniform(-1.0, 1.0, (6000, 100))
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"w{i} " + " ".join(f"{v:.6f}" for v in row) + "\n"
+                                for i, row in enumerate(matrix)), encoding="utf-8")
+        source = load_embedding_set(path)
+        emb = self.extended(source)
+        source.index  # built once by align, before any save
+        out = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            save_embedding_set(emb, out, source=source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes()[: path.stat().st_size] == path.read_bytes()
+        assert peak < out.stat().st_size / 4
 
 
 class TestEmbeddingSet:
