@@ -99,18 +99,6 @@ class EmbeddingSet:
         return len(self.words)
 
 
-def _parse_header(parts: list[str]) -> tuple[int, int] | None:
-    if len(parts) != 2:
-        return None
-    try:
-        count, dim = int(parts[0]), int(parts[1])
-    except ValueError:
-        return None
-    if count < 0 or dim <= 0:
-        return None
-    return count, dim
-
-
 def load_embedding_set(path, name: str | None = None) -> EmbeddingSet:
     """Load an embedding set from a text vector file, or from its sidecars.
 
@@ -232,27 +220,25 @@ def _parse(path: Path):
         # line; otherwise newline="" keeps each line's own ending to count it
         newline = None if f.newlines in (None, "\n") else ""
     offset = len(codecs.BOM_UTF8) if first.startswith("\ufeff") else 0
-    first = first[bool(offset):]
-    header = _parse_header(first.split())
-    if header is not None and header[0] == records:
-        start, dim = 1, header[1]
-        matrix = np.empty((records, dim))
-    else:
-        start, dim, matrix = 0, None, None
-        records += bool(first.strip())
+    try:  # a "<count> <dim>" first line is a header when count records follow it
+        count, dim = map(int, first[bool(offset):].split())
+        header = count == records and dim > 0
+    except ValueError:
+        header = False
+    matrix = np.empty((records, dim)) if header else None
+    if not header:
+        dim, records = None, records + 1  # the first line may be a record
 
     words: list[str] = []
     seen: set[str] = set()
-    line_numbers, line_starts = array("q"), array("q")  # of each kept line; of every line
+    spans, line_numbers = array("q"), array("q")  # of each kept record
     duplicates = 0
     with open(path, encoding="utf-8-sig", newline=newline) as f:
-        if start:
-            offset += len(f.readline().encode("utf-8"))
-        for lineno, line in enumerate(f, start=start + 1):
-            line_starts.append(offset)
+        for lineno, line in enumerate(f, start=1):
+            start = offset
             offset += len(line) if line.isascii() else len(line.encode("utf-8"))
             parts = line.split()
-            if not parts:
+            if not parts or header and lineno == 1:
                 continue
             if len(parts) < 2:
                 raise ValueError(f"{path}: line {lineno}: expected a word and {dim or 'at least 1'} values")
@@ -274,8 +260,9 @@ def _parse(path: Path):
                 duplicates += 1
                 continue
             seen.add(word)
-            line_numbers.append(lineno)
             words.append(word)
+            line_numbers.append(lineno)
+            spans.extend((start, offset))
 
     if not words:
         raise ValueError(f"{path}: no vector records found")
@@ -283,23 +270,21 @@ def _parse(path: Path):
     bad = _non_finite_rows(matrix)
     if bad.size:
         raise ValueError(f"{path}: line {line_numbers[bad[0]]}: non-finite value")
-    line_starts.append(offset)  # where a line after the last would start
-    starts = np.frombuffer(line_starts, dtype=np.int64)
-    kept = np.frombuffer(line_numbers, dtype=np.int64) - (start + 1)  # their indices in starts
-    return words, matrix, np.stack([starts[kept], starts[kept + 1]], axis=1), duplicates
+    return words, matrix, np.frombuffer(spans, dtype=np.int64).reshape(-1, 2), duplicates
 
 
 def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = None) -> None:
     """Write ``emb`` to ``path`` as plain text, one record per line, and
     remove the sidecars of the file it replaces; an empty word, a word
     containing whitespace or beginning with U+FEFF, or a non-finite value
-    raises ``ValueError`` naming the word before the file opens.
+    raises ``ValueError`` naming the word, and a ``source`` of another
+    dimension one naming both dimensions, before the file opens.
 
-    ``source`` is a loaded set that ``emb`` extends.  Each row of ``emb``
-    whose word ``source`` holds with bit-identical values is copied from
-    the source file's record, its tokens joined by single spaces, as long
-    as that file still holds the bytes it was loaded from and is not
-    ``path``; every other row is formatted.  The source is read through a
+    ``source`` is a loaded set of ``emb``'s dimension that ``emb`` extends.
+    Each row of ``emb`` whose word ``source`` holds with bit-identical
+    values is copied from the source file's record, its tokens joined by
+    single spaces, as long as that file still holds the bytes it was
+    loaded from and is not ``path``; every other row is formatted.  The source is read through a
     memory map and the output written in blocks of rows: neither text is
     held whole.
     """
@@ -310,6 +295,8 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
     bad = _non_finite_rows(emb.matrix)
     if bad.size:
         raise ValueError(f"{path}: non-finite value for word {emb.words[bad[0]]!r}")
+    if source is not None and source.dim != emb.dim:
+        raise ValueError(f"{path}: source has {source.dim} values per word, the set {emb.dim}")
     path = Path(path)
     row_format = " ".join(["%" + VALUE_FORMAT] * emb.dim)
     step = max(1, _BLOCK_VALUES // emb.dim)

@@ -1,11 +1,11 @@
 """Training settings, training reports, seeded randomness, and AdaGrad.
 
-Every fit in the package is closed-form, so production code uses only
-``seeded_rng`` (the ``random`` fill strategy), ``TrainConfig`` and
-``TrainReport``.  The mini-batch AdaGrad pieces (``adagrad_update``,
-``minibatches``, ``loss_plateaued``) have no production caller; they
-stay importable from ``ensemble`` and ``oov``, where the benchmark's
-tracer looks them up.
+Every fit in the package is closed-form, so production code reads only
+``TrainConfig``, ``TrainReport``, and ``seeded_rng`` and ``INIT_RANGE``
+for the ``random`` fill strategy.  The mini-batch AdaGrad pieces
+(``adagrad_update``, ``minibatches``, ``loss_plateaued``) have no
+production caller; they stay importable from ``ensemble`` and ``oov``,
+where the benchmark's tracer looks them up.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 EARLY_STOP_WINDOW = 5
 EARLY_STOP_REL_TOL = 1e-5
 
-INIT_RANGE = 0.05  # uniform [-INIT_RANGE, INIT_RANGE] parameter init
+INIT_RANGE = 0.05  # the random fill draws from uniform [-INIT_RANGE, INIT_RANGE]
 
 
 @dataclass
@@ -38,7 +38,6 @@ class TrainConfig:
     l2_weight: float = 5e-4
     epochs: int = 100
     seed: int = 0
-    adagrad_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -49,10 +48,6 @@ class TrainConfig:
             raise ValueError(f"l2_weight must be >= 0 and finite, got {self.l2_weight}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 < self.adagrad_epsilon < np.inf:
-            raise ValueError(
-                f"adagrad_epsilon must be > 0 and finite, got {self.adagrad_epsilon}"
-            )
 
     @classmethod
     def projection_defaults(cls, **overrides) -> "TrainConfig":

@@ -622,7 +622,7 @@ def test_resolve_dataset_error_names_path():
         resolve_dataset("definitely_missing.txt")
 
 
-class TestMakeTrainConfig:
+class TestFlagPrecedence:
     def test_flags_beat_config_file(self, toy_files):
         # the file beats the defaults, and typed flags beat the file
         tmp_path, paths = toy_files

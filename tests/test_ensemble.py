@@ -378,7 +378,7 @@ class TestTrainLatentUnion:
         )
         assert returned / len(meta) == pytest.approx(report.final_loss, rel=1e-12)
 
-    def test_one_epoch_recovers_hidden_words(self):
+    def test_exact_low_rank_sets_recover_hidden_words(self):
         # exact rank-10 sets: the start maps each hidden word's meta-vector
         # into the set that lacks it without error
         _, words, sets, matrices, hidden = latent_linked_sets(n=150, hide_fraction=0.1)
@@ -575,7 +575,7 @@ class TestTrainLatentUnion:
             tracemalloc.stop()
         assert peak < 5 * target_bytes
 
-    def test_deterministic_given_seed(self):
+    def test_repeated_fit_is_bit_identical(self):
         _, _, sets, _, _ = latent_linked_sets(n=60, hide_fraction=0.2)
         cfg = TrainConfig(epochs=30, seed=21)
         weights = {"one": 1.0, "two": 8.0}
@@ -586,7 +586,7 @@ class TestTrainLatentUnion:
         for x, y in zip(ext_a, ext_b):
             np.testing.assert_array_equal(x.matrix, y.matrix)
 
-    def test_non_finite_loss_fails_at_first_epoch(self):
+    def test_overflowing_inputs_fail_with_a_named_error(self):
         _, _, sets, _, _ = latent_linked_sets(n=60)
         huge = [EmbeddingSet(s.name, s.words, s.matrix * 1e200) for s in sets]
         cfg = TrainConfig(epochs=400, seed=0)

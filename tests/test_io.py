@@ -1,3 +1,4 @@
+import codecs
 import os
 import re
 import shutil
@@ -19,6 +20,40 @@ def write(tmp_path, text, name="vectors.txt"):
     return path
 
 
+@st.composite
+def vector_files(draw):
+    """The bytes of a loadable vector file, and each kept word with the
+    bytes of its first occurrence's line (its line end included) and that
+    line's tokens, in file order."""
+    # no word holds whitespace, begins with a byte-order mark or reads as an
+    # int, so none looks like a header
+    word = st.text(
+        alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs", "Nd")),
+        min_size=1, max_size=6,
+    ).filter(lambda w: not w.startswith("\ufeff"))
+    header = draw(st.sampled_from([None, True, False]))
+    dim = 1 if header is False else draw(st.integers(1, 3))  # a false header is a record
+    pool = draw(st.lists(word, min_size=1, max_size=4, unique=True))
+    sep = draw(st.sampled_from([" ", "\t", "  ", "\u3000"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    value = st.floats(-10.0, 10.0).map(repr)
+    records = [[w, *draw(st.lists(value, min_size=dim, max_size=dim))]
+               for w in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))]
+    if header is not None:  # a false header's count is one too many
+        records.insert(0, [str(len(records) + (not header)), str(dim)])
+    text, kept = [], {}
+    for i, tokens in enumerate(records):
+        if i and draw(st.booleans()):
+            text.append(draw(st.sampled_from(["", " ", "\t", "\u3000 "])) + end)
+        last = i == len(records) - 1
+        text.append(sep.join(tokens) + draw(st.sampled_from(["", " "]))
+                    + (draw(st.sampled_from([end, ""])) if last else end))
+        if i or header is not True:
+            kept.setdefault(tokens[0], (text[-1].encode("utf-8"), tokens))
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    return bom + "".join(text).encode("utf-8"), list(kept.items())
+
+
 class TestLoad:
     @pytest.mark.parametrize("header", ["", "2 2\n"])
     def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, header):
@@ -28,6 +63,25 @@ class TestLoad:
         for emb in (cold, load_embedding_set(path)):
             assert emb.words == ["the", "cat"]
             np.testing.assert_array_equal(emb.matrix, [[0.1, 0.2], [0.3, 0.4]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(vector_files())
+    def test_spans_slice_each_kept_words_first_line(self, tmp_path_factory, file):
+        data, kept = file
+        path = tmp_path_factory.mktemp("spans") / "v.txt"
+        path.write_bytes(data)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as monkeypatch:
+            warnings.simplefilter("ignore")  # the duplicates' warning
+            loads = [load_embedding_set(path)]
+            refuse_parsing(monkeypatch)
+            loads.append(load_embedding_set(path))
+        for emb in loads:
+            assert emb.words == [w for w, _ in kept]
+            spans = emb._text[2]
+            assert (spans[:, 0] < spans[:, 1]).all() and (spans[1:, 0] >= spans[:-1, 1]).all()
+            for (start, end), (_, (line, tokens)) in zip(spans.tolist(), kept):
+                assert data[start:end] == line
+                assert data[start:end].decode("utf-8").split() == tokens
 
     def test_plain_two_words(self, tmp_path):
         path = write(tmp_path, "a 1.0 0.0\nb 0.0 1.0\n")
@@ -406,6 +460,17 @@ class TestSaveFromSource:
         back = load_embedding_set(out)
         assert back.words == [*source.words, "zz"]
         assert np.array_equal(back.matrix[:-1].view(np.int64), source.matrix.view(np.int64))
+
+    @pytest.mark.parametrize("source_dim, dim", [(1, 3), (3, 1)])
+    def test_source_of_another_dimension_refused_before_writing(self, tmp_path, source_dim, dim):
+        # numpy broadcasting would let a row pass the bit-identity test and
+        # copy a record with the source's value count
+        source = load_embedding_set(write(tmp_path, "a" + " 0" * source_dim + "\n"))
+        emb = EmbeddingSet("x", ["a"], np.zeros((1, dim)))
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=f"source has {source_dim} values per word, the set {dim}$"):
+            save_embedding_set(emb, path, source=source)
+        assert not path.exists()
 
     def test_changed_rows_are_formatted(self, tmp_path):
         source = load_embedding_set(write(tmp_path, "a 0.500000 1\nb 2.000000 3\n"))

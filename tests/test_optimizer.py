@@ -140,7 +140,7 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("field", ["learning_rate", "l2_weight", "adagrad_epsilon"])
+    @pytest.mark.parametrize("field", ["learning_rate", "l2_weight"])
     def test_non_finite_setting_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be .* and finite, got {value}$"):
             TrainConfig(**{field: value})
