@@ -163,18 +163,16 @@ def _shared_fit(targets, col_weights, dim):
     return result.u_d * s, result.v_d / root[:, None], noise * n / (s * s)
 
 
-def _posterior_means(alignment, gammas, blocks, maps, shift, targets):
+def _posterior_means(present, gammas, blocks, maps, shift, targets, col_weights):
     """Each union word's posterior-mean meta-vector given the vectors the sets
     hold for it, the maps fixed: one ``min_norm_solve`` per presence pattern
     of the normal matrix sum_i gamma_i M_i^T M_i plus ``diag(shift)``, whose
-    sum_i d_i rows set its rounding noise.  Words every set holds are the
-    fit's own sample and take no shift: their normal matrix is ``v^T v``, the
-    identity, so they get the fit's ``u s`` up to rounding.  With no shift
-    each word gets its minimum-norm least-squares meta-vector."""
-    present = alignment.presence
-    meta = np.zeros((len(alignment.union), maps.shape[1]))
-    for gamma, block, known in zip(gammas, blocks, present):  # the normal equations' right sides
-        meta[known] += gamma * (targets[known, block] @ maps[block])
+    sum_i d_i rows set its rounding noise.  The right-hand sides are one
+    product, as ``targets`` reads 0 for each vector a set lacks.  Words every
+    set holds are the fit's own sample and take no shift: their normal matrix
+    is ``v^T v``, the identity, so they get the fit's ``u s`` up to rounding.
+    With no shift each word gets its minimum-norm least-squares meta-vector."""
+    meta = targets @ (col_weights[:, None] * maps)
     grams = np.array([gamma * (maps[block].T @ maps[block]) for gamma, block in zip(gammas, blocks)])
     dims = [block.stop - block.start for block in blocks]  # the rows summed into each gram
     patterns, inverse = np.unique(present.T, axis=0, return_inverse=True)
@@ -185,12 +183,6 @@ def _posterior_means(alignment, gammas, blocks, maps, shift, targets):
             gram += np.diag(shift)
         meta[rows] = min_norm_solve(gram, meta[rows], pattern @ dims)
     return meta
-
-
-def _write_images(meta, maps, targets, blocks, hidden):
-    """Set each vector a set is missing to its word's meta-vector mapped into the set."""
-    for block, missing in zip(blocks, hidden):
-        targets[missing, block] = meta[missing] @ maps[block].T
 
 
 def train_latent(
@@ -238,10 +230,11 @@ def train_latent_union(
     that vector given the word's known ones.  Where the shared words
     cannot support ``dim`` (none shared, or ``dim`` above their rank), the
     same fit is taken over every union word with missing vectors as zeros
-    (``report.start`` is then ``"union"``, else ``"shared"``).  Known
-    vectors are never modified (saved with their input set as ``source``,
-    they keep its digits on disk, and missing ones get 9 significant
-    digits), and ``final_loss`` counts them alone.
+    (``report.start`` is then ``"union"``, else ``"shared"``); either way the
+    targets read 0 there, so the posterior means' right-hand sides are one
+    product.  Known vectors are never modified (saved with their input set as
+    ``source``, they keep its digits on disk, and missing ones get 9
+    significant digits), and ``final_loss`` counts them alone.
     ``config`` is not read.  Raises ``ValueError`` unless ``1 <= dim <=
     min(union words, summed set dims)``, when ``dim`` exceeds the rank of
     the zero-filled union, or when its Gram matrix overflows.  Returns the
@@ -256,24 +249,21 @@ def train_latent_union(
     if not 1 <= dim <= bound:
         raise ValueError(f"dim must be in [1, {bound}], the smaller of the union's words and "
                          f"the sets' summed dims; got {dim} (--dim defaults to {DEFAULT_DIM})")
-    n, hidden = len(vocab), ~alignment.presence
-    targets = np.empty((n, len(col_weights)))  # each set's vectors over the union, side by side
-    for s, block in zip(sets, blocks):  # rows of -1 are placeholders until _write_images
-        np.take(s.matrix, alignment.rows_for(s), axis=0, out=targets[:, block], mode="wrap")
+    n, present = len(vocab), alignment.presence
+    targets = np.zeros((n, len(col_weights)))  # each set's vectors over the union, 0 where missing
+    for s, block, known in zip(sets, blocks, present):
+        targets[known, block] = s.matrix[alignment.rows_for(s)[known]]
     start = "shared"
     try:
-        _, maps, shift = _shared_fit(targets[alignment.presence.all(axis=0)], col_weights, dim)
+        _, maps, shift = _shared_fit(targets[present.all(axis=0)], col_weights, dim)
     except ValueError:  # no shared word, dim above their rank, or Gram overflow
         start = "union"
-        for block, missing in zip(blocks, hidden):
-            targets[missing, block] = 0.0
         _, maps, shift = _shared_fit(targets, col_weights, dim)  # overflow raises again
-    meta = _posterior_means(alignment, gammas, blocks, maps, shift, targets)
-    _write_images(meta, maps, targets, blocks, hidden)
-    known_loss = sum(
-        _loss(meta[known], maps[block], targets[known, block], col_weights[block])
-        for block, known in zip(blocks, alignment.presence)
-    )
+    meta = _posterior_means(present, gammas, blocks, maps, shift, targets, col_weights)
+    known_loss = 0.0
+    for block, known in zip(blocks, present):  # each set's known-vector loss, then its images
+        known_loss += _loss(meta[known], maps[block], targets[known, block], col_weights[block])
+        targets[~known, block] = meta[~known] @ maps[block].T
     report = TrainReport(final_loss=known_loss / n, start=start)
     extended = [EmbeddingSet(s.name, vocab, targets[:, block]) for s, block in zip(sets, blocks)]
     maps_by_name = {s.name: maps[block] for s, block in zip(sets, blocks)}

@@ -4,9 +4,9 @@ Each record is one line, ``word v1 v2 ... vd``.  Loading also accepts
 a ``"<count> <dim>"`` first line, which it detects by its count, and
 holds one float64 matrix plus the word list; saving writes records only.
 
-Tokens are opaque, non-empty UTF-8 strings without whitespace; a
-leading byte-order mark is skipped, so no word may begin with U+FEFF.
-Saving refuses any other word, which the loader could not read back.
+Tokens are opaque, non-empty UTF-8 strings without whitespace; a file's
+leading byte-order mark is skipped, so its first word may not begin with
+U+FEFF.  Saving refuses any other word, which the loader could not read back.
 A row that saving copies from its source file (see
 ``save_embedding_set``) keeps the source's digits (``0.500000`` stays
 ``0.500000``) and reloads bit for bit; every other row is written with 9
@@ -276,8 +276,8 @@ def _parse(path: Path):
 def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = None) -> None:
     """Write ``emb`` to ``path`` as plain text, one record per line, and
     remove the sidecars of the file it replaces; an empty word, a word
-    containing whitespace or beginning with U+FEFF, or a non-finite value
-    raises ``ValueError`` naming the word, and a ``source`` of another
+    containing whitespace, a first word beginning with U+FEFF, or a non-finite
+    value raises ``ValueError`` naming the word, and a ``source`` of another
     dimension one naming both dimensions, before the file opens.
 
     ``source`` is a loaded set of ``emb``'s dimension that ``emb`` extends.
@@ -288,7 +288,9 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
     memory map and the output written in blocks of rows: neither text is
     held whole.
     """
-    unreadable = next((w for w in emb.words if w.split() != [w] or w[0] == "\ufeff"), None)
+    unreadable = next((w for w in emb.words if w.split() != [w]), None)
+    if emb.words[0][:1] == "\ufeff":  # the loader strips a byte-order mark from this word alone
+        unreadable = emb.words[0]
     if unreadable is not None:
         raise ValueError(f"{path}: word {unreadable!r} is empty or contains whitespace "
                          "or a leading byte-order mark")

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -370,6 +371,21 @@ class TestExtend:
         np.testing.assert_allclose(ext.row("only_b"), expected, atol=1e-8)
 
 
+    def test_word_beginning_with_a_byte_order_mark_is_extended(self, tmp_path):
+        # files that start with a byte-order mark, concatenated, hold one at
+        # the start of a later line; the loader keeps it in that word
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("a 1 2\n\ufeffb 3 4\nc 5 6\n", encoding="utf-8")
+        b.write_text("a 1 2 3\nd 4 5 6\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        rc = main(["extend", "--sets", f"a={a}", f"b={b}", "--strategy", "average",
+                   "--out", str(out_dir)])
+        assert rc == 0
+        for name in ("a", "b"):
+            assert load_embedding_set(out_dir / f"{name}.extended.txt").words == ["a", "c", "d", "\ufeffb"]
+        assert (out_dir / "a.extended.txt").read_text(encoding="utf-8").endswith("\ufeffb 3 4\n")
+
+
 class TestKnownRowsOnDisk:
     @pytest.fixture
     def precise_files(self, tmp_path):
@@ -620,6 +636,31 @@ class TestSweep:
 def test_resolve_dataset_error_names_path():
     with pytest.raises(ValueError, match="definitely_missing.txt"):
         resolve_dataset("definitely_missing.txt")
+
+
+SWEEP = ["sweep", "--sets", "a=a.txt", "b=b.txt", "--method", "svd", "--param", "dim",
+         "--dev", "dev.txt", "--values"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["build", "--sets", "=a.txt", "b=b.txt", "--method", "svd", "--out", "out"],
+     "bad set spec '=a.txt': empty name or path"),
+    (["build", "--sets", "a=", "b=b.txt", "--method", "svd", "--out", "out"],
+     "bad set spec 'a=': empty name or path"),
+    (["build", "--sets", "a=x.txt:1:colnorm:z", "b=b.txt", "--method", "svd", "--out", "out"],
+     "bad set spec 'a=x.txt:1:colnorm:z': too many fields"),
+    (["build", "--config", "config.json", "--out", "out"], "config.json: config must be a JSON object"),
+    (["build", "--method", "svd", "--out", "out"], "no embedding sets given (use --sets or a config file)"),
+    (["build", "--sets", "a=a.txt", "b=b.txt", "--out", "out"], "no method given (use --method or a config file)"),
+    ([*SWEEP, "1,x"], "bad --values '1,x': expected comma-separated numbers"),
+    ([*SWEEP, ","], "empty --values grid"),
+])
+def test_bad_arguments_refused_before_any_load(tmp_path, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)  # no vector file exists: every error comes first
+    (tmp_path / "config.json").write_text("[]", encoding="utf-8")
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        cli._config_flags(args.config) if args.config else args.func(args)
 
 
 class TestFlagPrecedence:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -96,6 +97,16 @@ class TestConcatenate:
         sets = make_sets(rng, ["a", "b"], [2, 2])
         with pytest.raises(ValueError, match="must be positive"):
             concatenate(sets, {"s0": 0.0, "s1": 1.0}, align(sets))
+
+    @pytest.mark.parametrize("vocabularies, weights, error", [
+        ((["a"], ["b"]), {"s0": 1.0, "s1": 1.0}, "empty shared vocabulary"),
+        ((["a"], ["a"]), {"s0": 1.0}, "no weight given for set 's1'"),
+    ])
+    def test_rejects(self, vocabularies, weights, error):
+        rng = np.random.default_rng(7)
+        sets = [EmbeddingSet(f"s{i}", v, rng.normal(size=(len(v), 2))) for i, v in enumerate(vocabularies)]
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            concatenate(sets, weights, align(sets))
 
     def test_rejects_unknown_colnorm_name(self):
         rng = np.random.default_rng(5)

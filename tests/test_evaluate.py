@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,10 @@ class TestSpearman:
     def test_rank_formula_worked_example(self):
         # d^2 sums to 6, so rho = 1 - 6*6/(5*24) = 0.7
         assert spearman([1, 2, 3, 4, 5], [2, 3, 1, 4, 5]) == pytest.approx(0.7)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match=r"^need two equal-length lists, got \(2,\) and \(3,\)$"):
+            spearman([1, 2], [1, 2, 3])
 
     def test_matches_naive_oracle_with_ties(self):
         xs = [1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0]
@@ -369,6 +374,7 @@ class TestLoaders:
         path.write_text(
             ": capital-common-countries\n"
             "athens greece baghdad iraq\n"
+            "\n  \n"  # blank lines are skipped
             "athens greece bangkok thailand\n"
             ": family\n"
             "boy girl brother sister\n"
@@ -384,6 +390,17 @@ class TestLoaders:
         assert ds.count(SYNTACTIC) == 3
         assert ds.questions[0] == ("athens", "greece", "baghdad", "iraq", SEMANTIC)
         assert ds.questions[3][4] == SYNTACTIC
+
+    @pytest.mark.parametrize("load, text, error", [
+        (load_similarity_dataset, "cat dog 8.5\ncar bus nan\n", "line 2: non-finite score"),
+        (load_similarity_dataset, "\n \n", "no word pairs found"),
+        (load_analogy_dataset, ": family\n\n: gram1-adjective-to-adverb\n", "no analogy questions found"),
+    ])
+    def test_loader_refuses_a_file_it_cannot_score(self, tmp_path, load, text, error):
+        path = tmp_path / "data.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}$"):
+            load(path)
 
     def test_analogy_loader_requires_section_header(self, tmp_path):
         path = tmp_path / "questions.txt"

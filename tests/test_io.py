@@ -121,6 +121,15 @@ class TestLoad:
         with pytest.raises(ValueError, match=error):
             load_embedding_set(path)
 
+    @pytest.mark.parametrize("text, error", [
+        ("a\n", "line 1: expected a word and at least 1 values"),
+        ("a 1 2\nb\n", "line 2: expected a word and 2 values"),
+    ])
+    def test_word_without_values_reports_line_number(self, tmp_path, text, error):
+        path = write(tmp_path, text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}$"):
+            load_embedding_set(path)
+
     def test_non_finite_value_rejected(self, tmp_path):
         path = write(tmp_path, "a 1 2\nb nan 4\n")
         with pytest.raises(ValueError, match="line 2"):
@@ -354,15 +363,15 @@ class TestSave:
 
     @settings(max_examples=25, deadline=None)
     @given(
+        # save refuses a first word that begins with U+FEFF by design; the
+        # "\ufeffa" case of test_unreadable_word_refused_before_writing checks that
         st.lists(
-            # save refuses a leading U+FEFF by design; the "\ufeffa" case of
-            # test_unreadable_word_refused_before_writing checks that
             st.text(
                 alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
                 min_size=1, max_size=8,
-            ).filter(lambda word: not word.startswith("\ufeff")),
+            ),
             min_size=1, max_size=6, unique=True,
-        ),
+        ).filter(lambda words: not words[0].startswith("\ufeff")),
         st.integers(min_value=1, max_value=5),
         st.booleans(),
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -510,6 +519,13 @@ class TestSaveFromSource:
         save_embedding_set(self.extended(source), path, source=source)
         assert path.read_text(encoding="utf-8") == "a 0.5 1\nb 2 3\nzz 9 9\n"
 
+    def test_source_deleted_after_load_is_formatted(self, tmp_path):
+        path = write(tmp_path, "a 0.500000 1\nb 2.000000 3\n")
+        source = load_embedding_set(path)
+        path.unlink()
+        save_embedding_set(self.extended(source), tmp_path / "out.txt", source=source)
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "a 0.5 1\nb 2 3\nzz 9 9\n"
+
     def test_set_built_in_memory_is_formatted(self, tmp_path):
         source = EmbeddingSet("s", ["a"], [[0.5, 1.0]])
         save_embedding_set(self.extended(source), tmp_path / "out.txt", source=source)
@@ -549,6 +565,10 @@ class TestEmbeddingSet:
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValueError, match="matrix rows"):
             EmbeddingSet("x", ["a", "b"], [[1.0]])
+
+    def test_rejects_one_dimensional_matrix(self):
+        with pytest.raises(ValueError, match=r"^matrix must be 2-dimensional, got shape \(2,\)$"):
+            EmbeddingSet("x", ["a", "b"], [1.0, 2.0])
 
     def test_lookup(self):
         emb = EmbeddingSet("x", ["a", "b"], [[1.0, 0.0], [0.0, 1.0]])

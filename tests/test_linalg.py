@@ -59,6 +59,10 @@ class TestTruncatedSvd:
         u = result.u_d[:, 0]
         np.testing.assert_allclose(np.abs(u), np.abs(x) / np.linalg.norm(x), atol=1e-12)
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match=r"^expected a matrix, got shape \(3,\)$"):
+            truncated_svd(np.ones(3), 1)
+
     def test_identity(self):
         result = truncated_svd(np.eye(4), 2)
         np.testing.assert_allclose(result.singular_values, [1.0, 1.0])

@@ -233,6 +233,14 @@ class TestFillOov:
         with pytest.raises(ValueError, match="no projection into 'a'"):
             fill_oov(a, [b], [], alignment, PROJECTED, seed=0)
 
+    def test_projected_word_no_passed_source_holds(self):
+        # "s" is in the aligned union through c, which is not passed
+        a, b = two_sets_with_extras()
+        c = EmbeddingSet("c", ["b", "s"], [[1.0], [2.0]])
+        pm = ProjectionMap("b", "a", np.ones((2, 3)), 0.0)
+        with pytest.raises(ValueError, match="^'s' is in the union but known to no source set$"):
+            fill_oov(a, [b], [pm], align([a, b, c]), PROJECTED)
+
     def test_unknown_strategy(self):
         a, b = two_sets_with_extras()
         with pytest.raises(ValueError, match="unknown strategy"):
