@@ -10,8 +10,10 @@ U+FEFF.  Saving refuses any other word, which the loader could not read back.
 A row that saving copies from its source file (see
 ``save_embedding_set``) keeps the source's digits (``0.500000`` stays
 ``0.500000``) and reloads bit for bit; every other row is written with 9
-significant digits (``0.5``), so a save/load round trip preserves it to
-better than 1e-8 for unit-scale vectors.
+significant digits (``0.5``), byte for byte what ``"%.9g"`` writes, by a
+numpy formatter (a row holding a value it cannot prove exact goes through
+``%``), so a save/load round trip preserves it to better than 1e-8 for
+unit-scale vectors.
 
 The first load of a file writes two hidden sidecars beside it, keyed by
 the sha256 of its bytes: the float64 matrix as ``.npy`` (8 bytes per
@@ -46,9 +48,34 @@ VALUE_FORMAT = ".9g"
 _CACHE_VERSION = 3
 # Values per block of rows that saving assembles before one write.
 _BLOCK_VALUES = 1 << 15
-# What keeps an ASCII line from being single-spaced tokens and one LF: what
-# str.split() splits at, but for a space between tokens and the LF at the end.
-_ODD_SPACING = (b"  ", b" \n", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Values per pass of _formatted: its temporaries stay below malloc's 128 KiB
+# mmap threshold, so they are reused instead of mapped and faulted in anew.
+_FORMAT_VALUES = 1 << 12
+
+
+def _slot_layout(e: int) -> list[int]:
+    """How %.9g lays out a value of decimal exponent ``e`` in 16 bytes: the
+    first digit's bit shift, the other eight digits' shift into the low and
+    the high word, the masks of those before the point and of those kept
+    when zero, the point, and the fixed bytes' low and high word."""
+    fixed, first = -4 <= e <= 8, 6 if -4 <= e < 0 else 1  # the first digit's byte, after the sign
+    split = (8 if e < 0 else e) if fixed else 0  # other digits right after the first
+    below_one = (b"0." + b"0" * (-e - 1)).ljust(5, b"\0") if first == 6 else b""
+    text = (b"\0" + below_one + b"0").ljust(11, b"\0") + (b"\0" * 4 if fixed else b"e%+03d" % e) + b" "
+    text, mask = int.from_bytes(text, "little"), (1 << 8 * split) - 1
+    return [8 * first, 8 * first + 8, 56 - 8 * first, mask, mask if fixed and e >= 0 else 0,
+            ord(".") << 8 * split if split < 8 else 0, text & (1 << 64) - 1, text >> 64]
+
+
+# Indexed by decimal exponent + _E0, for every finite float's exponent and
+# one above: exponents -14 to 30 are written, |x| * _MUL / _DIV then in [1e8,
+# 1e9) with both exact powers of ten; the others, _OUTSIDE, repeat the nearest.
+_E0 = 324
+_ROW = np.clip(np.arange(-_E0, 310), -14, 30) + 14
+_OUTSIDE = _ROW != np.arange(-_E0, 310) + 14
+_MUL, _DIV = np.array([[10 ** max(8 - e, 0), 10 ** max(e - 8, 0)] for e in range(-14, 31)],
+                      dtype=float)[_ROW].T.copy()
+_LAYOUT = list(np.array([_slot_layout(e) for e in range(-14, 31)], np.uint64)[_ROW].T.copy())
 
 
 @dataclass(frozen=True)
@@ -72,6 +99,8 @@ class EmbeddingSet:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {matrix.shape}")
+        if matrix.shape[1] == 0:  # the loader refuses a word without values too
+            raise ValueError(f"matrix must hold at least 1 value per word, got shape {matrix.shape}")
         object.__setattr__(self, "words", list(self.words))
         object.__setattr__(self, "matrix", matrix)
         if len(self.words) == 0:
@@ -283,10 +312,13 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
     ``source`` is a loaded set of ``emb``'s dimension that ``emb`` extends.
     Each row of ``emb`` whose word ``source`` holds with bit-identical
     values is copied from the source file's record, its tokens joined by
-    single spaces, as long as that file still holds the bytes it was
-    loaded from and is not ``path``; every other row is formatted.  The source is read through a
-    memory map and the output written in blocks of rows: neither text is
-    held whole.
+    single spaces, as long as that file still holds the bytes it was loaded
+    from and is not ``path``; a block's records are copied verbatim when
+    they are single-spaced ASCII already.  Every other row is formatted,
+    byte for byte as ``"%.9g"`` would, by a numpy formatter, or by ``%``
+    when it holds a value the formatter cannot prove exact.  The source is
+    read through a memory map and the output written in blocks of rows:
+    neither text is held whole.
     """
     unreadable = next((w for w in emb.words if w.split() != [w]), None)
     if emb.words[0][:1] == "\ufeff":  # the loader strips a byte-order mark from this word alone
@@ -300,7 +332,6 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
     if source is not None and source.dim != emb.dim:
         raise ValueError(f"{path}: source has {source.dim} values per word, the set {emb.dim}")
     path = Path(path)
-    row_format = " ".join(["%" + VALUE_FORMAT] * emb.dim)
     step = max(1, _BLOCK_VALUES // emb.dim)
     data = _source_bytes(source, path)
     with nullcontext() if data is None else data:
@@ -311,18 +342,81 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
         with open(path, "wb") as f:
             for lo in range(0, len(emb), step):
                 block, copy = emb.matrix[lo:lo + step], rows[lo:lo + step]
-                spans = []
+                lines = []
                 if data is not None:
                     known = np.flatnonzero(copy >= 0)
                     same = block[known].view(np.int64) == source.matrix[copy[known]].view(np.int64)
                     copy[known[~same.all(axis=1)]] = -1
-                    spans = source._text[2][copy[copy >= 0]].tolist()
-                spans, values = iter(spans), iter(block[copy < 0].tolist())
+                    lines = [data[a:b] for a, b in source._text[2][copy[copy >= 0]].tolist()]
+                    # printable ASCII, dim spaces and an LF a line: a record's
+                    # dim + 1 tokens are single-spaced
+                    joined = b"".join(lines)
+                    chars = np.frombuffer(joined, np.uint8)
+                    if (joined.translate(None, bytes(range(32, 127)) + b"\n")
+                            or np.count_nonzero(chars == 10) != len(lines)
+                            or np.count_nonzero(chars == 32) != len(lines) * emb.dim):
+                        lines = [(" ".join(line.decode("utf-8").split()) + "\n").encode("utf-8")
+                                 for line in lines]
+                lines, values = iter(lines), iter(_formatted(block[copy < 0]))
                 f.write(b"".join(
-                    _single_spaced(data[slice(*next(spans))]) if row >= 0
-                    else f"{word} {row_format % tuple(next(values))}\n".encode("utf-8")
+                    next(lines) if row >= 0 else b"%s %s\n" % (word.encode("utf-8"), next(values))
                     for word, row in zip(emb.words[lo:lo + step], copy.tolist())
                 ))
+
+
+def _formatted(block: np.ndarray) -> list[bytes]:
+    """Each row of ``block`` (finite, at least one column) as ``"%.9g"``
+    formats its values, joined by single spaces: each value's 16-byte slot is
+    built with uint64 arithmetic, but a row holding a value whose digits that
+    cannot prove, near a rounding tie or outside 1e-14 <= |x| < 1e31 but for
+    0, goes through ``%``."""
+    step = max(1, _FORMAT_VALUES // block.shape[1])
+    if len(block) > step or len(block) == 0:  # none for a block with every row copied
+        return [row for lo in range(0, len(block), step)
+                for row in _formatted(block[lo:lo + step])]
+    x = block.ravel()
+    a = np.abs(x)
+    # off by one only within 1e-12 of a power of ten, where scaled rounds to
+    # 1e8 or 1e9 either way; 0 reads as 1
+    e = (np.log10(a + (a == 0)) + _E0).astype(np.intp)
+    scaled = a * _MUL[e] / _DIV[e]  # the exact product correctly rounded, within 6e-8
+    n = np.rint(scaled)
+    inexact = np.abs(scaled - n) > 0.5 - 2.5e-7
+    up = n >= 1e9  # rounded up a decade, or log10 put x one low; out-of-range x is inexact
+    n[up] = 1e8
+    e += up
+    inexact |= _OUTSIDE[e]
+    first_shift, head_shift, head_back, split, least, point, fixed_low, fixed_high = (
+        table[e] for table in _LAYOUT)
+    # x // 10**8, x // 10**4, x // 100 and x // 10 as x * m >> k, exact for
+    # these x; the last two within the 2- and 1-digit lanes of one word
+    n = n.astype(np.uint64)
+    first = n * 1441151881 >> 57
+    rest = n - first * 10 ** 8
+    digits = rest * 109951163 >> 40
+    digits |= rest - digits * 10 ** 4 << 32
+    q = digits * 10486 >> 20 & 0x0000007F0000007F
+    digits = q | digits - q * 100 << 16
+    q = digits * 103 >> 10 & 0x000F000F000F000F
+    digits = q | digits - q * 10 << 8  # the other eight digits, one a byte
+    kept = digits + 0x7F7F7F7F7F7F7F7F & 0x8080808080808080  # nonzero digits' top bits
+    for shift in (8, 16, 32):
+        kept |= kept >> shift
+    kept = (kept >> 7) * 0xFF | least  # each digit up to the last nonzero one or the point
+    digits = (digits | 0x3030303030303030) & kept
+    lead = digits & split
+    head = lead | point & kept  # a point when a kept digit follows it
+    tail = digits ^ lead
+    low = (x.view(np.uint64) >> 63) * ord("-") | first << first_shift | head << head_shift
+    low |= tail << 24 | fixed_low
+    high = (head >> head_back | tail >> 40 | fixed_high).reshape(block.shape)
+    high[:, -1] ^= (ord(" ") ^ ord("\n")) << 56  # a row's last value ends it
+    slots = np.stack([low, high.ravel()], axis=1).astype("<u8", copy=False)
+    rows = slots.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    row_format = " ".join(["%" + VALUE_FORMAT] * block.shape[1])
+    for r in np.flatnonzero(inexact.reshape(block.shape).any(axis=1)).tolist():
+        rows[r] = (row_format % tuple(block[r].tolist())).encode("ascii")
+    return rows
 
 
 def _source_bytes(source: EmbeddingSet | None, path: Path) -> mmap.mmap | None:
@@ -344,11 +438,3 @@ def _source_bytes(source: EmbeddingSet | None, path: Path) -> mmap.mmap | None:
     data.close()
     return None
 
-
-def _single_spaced(line: bytes) -> bytes:
-    """``line``'s tokens, as str.split() finds them, joined by single spaces
-    and ended by one LF."""
-    if (line.isascii() and line.endswith(b"\n") and not line.startswith(b" ")
-            and not any(s in line for s in _ODD_SPACING)):
-        return line
-    return (" ".join(line.decode("utf-8").split()) + "\n").encode("utf-8")

@@ -428,6 +428,59 @@ class TestSave:
         assert not path.exists()
 
 
+def percent_formatted(block):
+    """The oracle: each row as one ``%`` string formats it."""
+    row_format = " ".join(["%" + io.VALUE_FORMAT] * block.shape[1])
+    return [(row_format % tuple(row)).encode("ascii") for row in block.tolist()]
+
+
+def finite_bits(bits):
+    value = np.uint64(bits).view(np.float64)
+    return float(value) if np.isfinite(value) else 0.0
+
+
+class TestFormatted:
+    """The numpy formatter writes each value byte for byte as ``%`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda d: st.lists(
+        st.lists(st.one_of(
+            st.integers(0, 2**64 - 1).map(finite_bits),  # any bit pattern
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-1e31, 1e31),
+            # short decimals and values near a rounding tie, in every decade written
+            st.builds(lambda m, k: m * 10.0 ** k, st.integers(-10**10, 10**10), st.integers(-24, 31)),
+        ), min_size=d, max_size=d),
+        min_size=1, max_size=6)))
+    def test_matches_percent_on_any_finite_matrix(self, rows):
+        block = np.array(rows, dtype=np.float64)
+        assert io._formatted(block) == percent_formatted(block)
+
+    def test_matches_percent_on_adversarial_values(self):
+        rng = np.random.default_rng(20)
+        values = []
+        for k in range(-15, 32):  # each power of ten and 1 ulp either side
+            power = float(f"1e{k}")
+            values += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
+        for e in range(-14, 31):  # ties of the ninth digit, as near as a float gets
+            values += list((rng.integers(10**8, 10**9, 50) + 0.5) * 10.0 ** (e - 8))
+        values += [9.9999999995e-5, 999999999.5, 99999999.95, 0.0, -0.0, 5e-324,
+                   2.2250738585072014e-308, 2.225073858507201e-308, 1e99, 1e-99, 1e100, 1e-100]
+        values = np.array(values)
+        block = np.concatenate([values, -values, [1.0] * (-2 * len(values) % 7)]).reshape(-1, 7)
+        assert io._formatted(block) == percent_formatted(block)
+        # three-digit exponents go through % a whole row at a time
+        wide = rng.normal(size=(3, 4)) * 1e200
+        assert io._formatted(wide) == percent_formatted(wide)
+
+    def test_rows_longer_than_one_pass(self, monkeypatch):
+        monkeypatch.setattr(io, "_FORMAT_VALUES", 10)
+        block = np.random.default_rng(21).normal(size=(9, 4)) * 10.0 ** np.arange(-6, 30, 4)[:, None]
+        block[4, 2] = 999999999.5  # one row through %
+        assert io._formatted(block) == percent_formatted(block)
+        assert io._formatted(block[:0]) == []
+
+
 class TestSaveFromSource:
     """Rows equal to a loaded source's are copied from its file's text."""
 
@@ -469,6 +522,36 @@ class TestSaveFromSource:
         back = load_embedding_set(out)
         assert back.words == [*source.words, "zz"]
         assert np.array_equal(back.matrix[:-1].view(np.int64), source.matrix.view(np.int64))
+
+    @pytest.mark.parametrize("odd", [
+        "w5\t5.50 -5e-3\n",  # a tab
+        "w5 5.50 -5e-3\r\n",  # CRLF
+        "w5  5.50 -5e-3\n",  # a doubled space
+        " w5 5.50 -5e-3\n",  # a leading space
+        "caf\u00e9 5.50 -5e-3\n",  # a non-ASCII word
+    ])
+    def test_each_block_of_copied_records_is_checked_as_a_whole(self, tmp_path, monkeypatch, odd):
+        # four rows a block: the first and third blocks are single-spaced
+        # ASCII, the second holds the odd line, and the source's last line
+        # ends without LF
+        monkeypatch.setattr(io, "_BLOCK_VALUES", 8)
+        lines = [f"w{i} {i}.50 -{i}e-3\n" for i in range(11)] + ["w11 7 8"]
+        lines[5] = odd
+        path = tmp_path / "in.txt"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        source = load_embedding_set(path)
+        emb = EmbeddingSet("x", [*source.words[:6], "new", *source.words[6:]],
+                           np.vstack([source.matrix[:6], [[0.25, -3.0]], source.matrix[6:]]))
+        out = tmp_path / "out.txt"
+        save_embedding_set(emb, out, source=source)
+        # the oracle: every record's tokens joined by single spaces, one line at a time
+        records = [" ".join(line.split()) + "\n" for line in lines]
+        expected = "".join(records[:6]) + "new 0.25 -3\n" + "".join(records[6:])
+        assert out.read_bytes() == expected.encode("utf-8")
+        back = load_embedding_set(out)
+        assert back.words == emb.words
+        known = [i for i, w in enumerate(emb.words) if w != "new"]
+        assert np.array_equal(back.matrix[known].view(np.int64), source.matrix.view(np.int64))
 
     @pytest.mark.parametrize("source_dim, dim", [(1, 3), (3, 1)])
     def test_source_of_another_dimension_refused_before_writing(self, tmp_path, source_dim, dim):
@@ -565,6 +648,11 @@ class TestEmbeddingSet:
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValueError, match="matrix rows"):
             EmbeddingSet("x", ["a", "b"], [[1.0]])
+
+    def test_rejects_a_word_without_values(self):
+        # saving such a set failed inside numpy; the loader never builds one
+        with pytest.raises(ValueError, match=r"^matrix must hold at least 1 value per word, got shape \(2, 0\)$"):
+            EmbeddingSet("x", ["a", "b"], np.zeros((2, 0)))
 
     def test_rejects_one_dimensional_matrix(self):
         with pytest.raises(ValueError, match=r"^matrix must be 2-dimensional, got shape \(2,\)$"):
