@@ -46,11 +46,10 @@ import numpy as np
 VALUE_FORMAT = ".9g"
 # Part of every sidecar key: bump it when parsing or the sidecar layout changes.
 _CACHE_VERSION = 3
-# Values per block of rows that saving assembles before one write.
-_BLOCK_VALUES = 1 << 15
-# Values per pass of _formatted: its temporaries stay below malloc's 128 KiB
-# mmap threshold, so they are reused instead of mapped and faulted in anew.
-_FORMAT_VALUES = 1 << 12
+# Values per block of rows that saving assembles before one write: at 1 << 15
+# the formatter's temporaries were mapped and faulted in anew each block, and
+# at 1 << 12 the per-block work slowed copying source records by a fifth.
+_BLOCK_VALUES = 1 << 14
 
 
 def _slot_layout(e: int) -> list[int]:
@@ -313,12 +312,12 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
     Each row of ``emb`` whose word ``source`` holds with bit-identical
     values is copied from the source file's record, its tokens joined by
     single spaces, as long as that file still holds the bytes it was loaded
-    from and is not ``path``; a block's records are copied verbatim when
-    they are single-spaced ASCII already.  Every other row is formatted,
-    byte for byte as ``"%.9g"`` would, by a numpy formatter, or by ``%``
-    when it holds a value the formatter cannot prove exact.  The source is
-    read through a memory map and the output written in blocks of rows:
-    neither text is held whole.
+    from and is not ``path``; a block's records, or failing that each
+    record, are copied verbatim when single-spaced ASCII already.  Every
+    other row is formatted, byte for byte as ``"%.9g"`` would, by a numpy
+    formatter, or by ``%`` when it holds a value the formatter cannot prove
+    exact.  The source is read through a memory map and the output written
+    in blocks of rows: neither text is held whole.
     """
     unreadable = next((w for w in emb.words if w.split() != [w]), None)
     if emb.words[0][:1] == "\ufeff":  # the loader strips a byte-order mark from this word alone
@@ -348,14 +347,9 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
                     same = block[known].view(np.int64) == source.matrix[copy[known]].view(np.int64)
                     copy[known[~same.all(axis=1)]] = -1
                     lines = [data[a:b] for a, b in source._text[2][copy[copy >= 0]].tolist()]
-                    # printable ASCII, dim spaces and an LF a line: a record's
-                    # dim + 1 tokens are single-spaced
-                    joined = b"".join(lines)
-                    chars = np.frombuffer(joined, np.uint8)
-                    if (joined.translate(None, bytes(range(32, 127)) + b"\n")
-                            or np.count_nonzero(chars == 10) != len(lines)
-                            or np.count_nonzero(chars == 32) != len(lines) * emb.dim):
-                        lines = [(" ".join(line.decode("utf-8").split()) + "\n").encode("utf-8")
+                    if not _single_spaced(b"".join(lines), len(lines), emb.dim):
+                        lines = [line if _single_spaced(line, 1, emb.dim)
+                                 else (" ".join(line.decode("utf-8").split()) + "\n").encode("utf-8")
                                  for line in lines]
                 lines, values = iter(lines), iter(_formatted(block[copy < 0]))
                 f.write(b"".join(
@@ -370,10 +364,8 @@ def _formatted(block: np.ndarray) -> list[bytes]:
     built with uint64 arithmetic, but a row holding a value whose digits that
     cannot prove, near a rounding tie or outside 1e-14 <= |x| < 1e31 but for
     0, goes through ``%``."""
-    step = max(1, _FORMAT_VALUES // block.shape[1])
-    if len(block) > step or len(block) == 0:  # none for a block with every row copied
-        return [row for lo in range(0, len(block), step)
-                for row in _formatted(block[lo:lo + step])]
+    if len(block) == 0:  # a block with every row copied
+        return []
     x = block.ravel()
     a = np.abs(x)
     # off by one only within 1e-12 of a power of ten, where scaled rounds to
@@ -417,6 +409,15 @@ def _formatted(block: np.ndarray) -> list[bytes]:
     for r in np.flatnonzero(inexact.reshape(block.shape).any(axis=1)).tolist():
         rows[r] = (row_format % tuple(block[r].tolist())).encode("ascii")
     return rows
+
+
+def _single_spaced(text: bytes, records: int, dim: int) -> bool:
+    """Whether ``text``, whole source records of dim + 1 tokens, is their
+    tokens joined by single spaces, each record ended by one LF: ASCII with
+    ``records * dim`` spaces, and no control character but ``records`` LFs."""
+    chars = np.frombuffer(text, np.uint8)
+    return (text.isascii() and np.count_nonzero(chars == 32) == records * dim
+            and np.count_nonzero(chars < 32) == np.count_nonzero(chars == 10) == records)
 
 
 def _source_bytes(source: EmbeddingSet | None, path: Path) -> mmap.mmap | None:

@@ -473,8 +473,7 @@ class TestFormatted:
         wide = rng.normal(size=(3, 4)) * 1e200
         assert io._formatted(wide) == percent_formatted(wide)
 
-    def test_rows_longer_than_one_pass(self, monkeypatch):
-        monkeypatch.setattr(io, "_FORMAT_VALUES", 10)
+    def test_rows_of_every_decade_and_an_empty_block(self):
         block = np.random.default_rng(21).normal(size=(9, 4)) * 10.0 ** np.arange(-6, 30, 4)[:, None]
         block[4, 2] = 999999999.5  # one row through %
         assert io._formatted(block) == percent_formatted(block)
@@ -528,6 +527,7 @@ class TestSaveFromSource:
         "w5 5.50 -5e-3\r\n",  # CRLF
         "w5  5.50 -5e-3\n",  # a doubled space
         " w5 5.50 -5e-3\n",  # a leading space
+        "w5\t5.50  -5e-3\n",  # a tab and a doubled space: dim spaces all the same
         "caf\u00e9 5.50 -5e-3\n",  # a non-ASCII word
     ])
     def test_each_block_of_copied_records_is_checked_as_a_whole(self, tmp_path, monkeypatch, odd):
