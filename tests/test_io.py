@@ -528,6 +528,7 @@ class TestSaveFromSource:
         "w5  5.50 -5e-3\n",  # a doubled space
         " w5 5.50 -5e-3\n",  # a leading space
         "w5\t5.50  -5e-3\n",  # a tab and a doubled space: dim spaces all the same
+        "w5 5.50 -5e-3\u3000\n",  # a trailing ideographic space after dim ASCII spaces
         "caf\u00e9 5.50 -5e-3\n",  # a non-ASCII word
     ])
     def test_each_block_of_copied_records_is_checked_as_a_whole(self, tmp_path, monkeypatch, odd):
