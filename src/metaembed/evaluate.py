@@ -8,11 +8,14 @@ cosine, excluding a, b, and c, breaking exact ties by lexicographic
 word order; a question that leaves no other word raises ``ValueError``.
 Items involving any missing word are skipped and counted as OOV rather
 than scored.
+Only questions whose answer a few candidates cannot certify, after the
+threshold algorithm of Fagin, Lotem and Naor (2003), take that scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +26,15 @@ from .linalg import normalize_rows
 SEMANTIC = "semantic"
 SYNTACTIC = "syntactic"
 
-# Questions scored per matrix product; fewer on a vocabulary above 2**14
-# words, so that one block of scores holds at most 2**22 floats (32 MB).
+# Floats in one block of scores (32 MB), and the scan's questions per product.
+_BLOCK_FLOATS = 2**22
 _ANALOGY_CHUNK = 256
+# Candidates per score row, and the certifying lead per unit of d + 4 (see
+# _certified), whose inner loops hold 2**16 values a temporary (512 kB): the
+# allocator reuses those, where whole blocks faulted in fresh pages.
+_TOP_K = 32
+_MARGIN = 16 * 2.0**-53
+_SLICE_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -163,14 +172,16 @@ def _answers(emb: EmbeddingSet, abc: np.ndarray) -> np.ndarray:
     Rows are scored in lexicographic word order, so the first maximum
     is the first word in that order among exact ties.  Raises
     ``ValueError`` when a question leaves no word outside a, b and c.
+    Only the questions that ``_certified`` leaves open are scanned.
     """
     order = np.array(sorted(range(len(emb)), key=emb.words.__getitem__), dtype=np.int64)
     normed = normalize_rows(emb.matrix[order])
     abc = np.argsort(order)[abc]
-    answers = np.empty(len(abc), dtype=np.int64)
-    size = max(1, min(_ANALOGY_CHUNK, 2**22 // len(emb)))
-    for start in range(0, len(abc), size):
-        chunk = abc[start : start + size]
+    answers = _certified(normed, abc)
+    todo = np.flatnonzero(answers < 0)
+    size = max(1, min(_ANALOGY_CHUNK, _BLOCK_FLOATS // len(emb)))
+    for start in range(0, len(todo), size):
+        chunk = abc[todo[start : start + size]]
         ia, ib, ic = chunk.T
         scores = (normed[ib] - normed[ia] + normed[ic]) @ normed.T
         rows = np.arange(len(chunk))
@@ -181,8 +192,70 @@ def _answers(emb: EmbeddingSet, abc: np.ndarray) -> np.ndarray:
         if stuck.size:
             query = [emb.words[order[i]] for i in chunk[stuck[0]]]
             raise ValueError(f"no candidate word outside the query words {query}")
-        answers[start : start + len(chunk)] = best
+        answers[todo[start : start + len(chunk)]] = best
     return order[answers]
+
+
+def _certified(normed: np.ndarray, abc: np.ndarray) -> np.ndarray:
+    """The scan's answer to each (a, b, c) row of ``abc`` that a few
+    candidates prove, else -1.
+
+    A block's one product scores its distinct offsets t = b - a (rounded as
+    the scan rounds them) and c rows against each row v: D = t.v with a and
+    b masked (-inf), C = c.v with c masked.  The candidates are the top
+    ``_TOP_K`` columns of both rows, scored E = D + C; any other word has E
+    <= D' + C', the largest values outside them.  For unit rows, |t| <= 2,
+    and a d-term dot product rounds within gamma = d u / (1 - d u) of its
+    terms' summed magnitudes (u = 2**-53), so E is within 3 gamma + 3u of
+    (t + c).v, the scan's fl(fl(t + c).v) within 3 gamma (1 + u) + 3u, and
+    the two within eps ~ (6d + 6) u.  A pick leading the other candidates
+    and D' + C' by more than 2 eps plus the comparison's own rounding, 4u,
+    has the strictly largest scan score: ``_MARGIN * (d + 4)`` = (16d + 64) u
+    > (12d + 16) u, with room for norms off 1 by a few d u.  The rest, and
+    all of a set of non-finite rows or at most 2 ``_TOP_K`` + 3 words, go
+    to the scan.  Questions go in offset order; a block needs a row per
+    offset and at most one per question or c word, within ``_BLOCK_FLOATS``.
+    """
+    n, d = normed.shape
+    answers = np.full(len(abc), -1, dtype=np.int64)
+    if n <= 2 * _TOP_K + 3 or not np.isfinite(normed).all():
+        return answers
+    pairs, offset = np.unique(abc[:, 0] * n + abc[:, 1], return_inverse=True)
+    by_offset = np.argsort(offset, kind="stable")
+    sorted_offset = offset[by_offset]
+    # growing[hi - 1] - growing[lo] + 2: the offset rows plus questions of [lo, hi)
+    growing = sorted_offset + np.arange(len(abc))
+    budget, c_words = max(2, _BLOCK_FLOATS // n), np.count_nonzero(np.bincount(abc[:, 2]))
+    kth, cut, step = n - _TOP_K - 1, max(1, _SLICE_FLOATS // n), _SLICE_FLOATS // (2 * _TOP_K)
+    lo = 0
+    while lo < len(abc):
+        hi = max(lo + 1, np.searchsorted(growing, growing[lo] + budget - 2, "right"),
+                 np.searchsorted(sorted_offset, sorted_offset[lo] + budget - 1 - c_words, "right"))
+        block, first = by_offset[lo:hi], sorted_offset[lo]
+        ab = pairs[first : sorted_offset[hi - 1] + 1]
+        c_rows, c_row = np.unique(abc[block, 2], return_inverse=True)
+        scores = np.concatenate([normed[ab % n] - normed[ab // n], normed[c_rows]]) @ normed.T
+        d_rows, c_rows_at = np.arange(len(ab)), len(ab) + np.arange(len(c_rows))
+        scores[np.r_[d_rows, d_rows, c_rows_at], np.r_[ab // n, ab % n, c_rows]] = -np.inf
+        # per row: the column of the largest value outside the top k, then the top k
+        top = np.empty((len(scores), _TOP_K + 1), dtype=np.int64)
+        for s in range(0, len(scores), cut):
+            top[s : s + cut] = np.argpartition(scores[s : s + cut], kth, axis=1)[:, kth:]
+        outside, top = scores[np.arange(len(scores)), top[:, 0]], np.ascontiguousarray(top[:, 1:])
+        pairs_of_rows = np.stack([offset[block] - first, c_row + len(ab)], axis=1)  # D row, C row
+        for s in range(0, len(block), step):
+            rows = pairs_of_rows[s : s + step]
+            candidates = top[rows].reshape(len(rows), -1)
+            e = np.take(scores, rows[:, :1] * n + candidates) + np.take(scores, rows[:, 1:] * n + candidates)
+            best = e.argmax(axis=1)
+            pick = np.take_along_axis(candidates, best[:, None], axis=1)[:, 0]
+            lead = e[np.arange(len(e)), best] - _MARGIN * (d + 4)
+            e[candidates == pick[:, None]] = -np.inf  # every copy of the pick
+            sure = (lead > e.max(axis=1)) & (lead > outside[rows].sum(axis=1))
+            answers[block[s : s + step][sure]] = pick[sure]
+        del scores  # freed before the next block is allocated
+        lo = hi
+    return answers
 
 
 def answer_analogy(emb: EmbeddingSet, a: str, b: str, c: str) -> str:
@@ -202,24 +275,21 @@ def eval_analogy(emb: EmbeddingSet, dataset: AnalogyDataset) -> dict[str, EvalRe
     words is missing.  Returns results keyed by "semantic",
     "syntactic", and "total".
     """
-    index = emb.index
-    quads, syntactic, oov = [], [], {SEMANTIC: 0, SYNTACTIC: 0}
-    for *question, category in dataset.questions:
-        if any(w not in index for w in question):
-            oov[category] += 1
-            continue
-        quads.append([index[w] for w in question])
-        syntactic.append(category == SYNTACTIC)
-    quads = np.array(quads, dtype=np.int64).reshape(-1, 4)
-    syntactic = np.array(syntactic, dtype=bool)
-    hits = _answers(emb, quads[:, :3]) == quads[:, 3]
+    count = len(dataset.questions)
+    # the fifth entry of each row looks the category up and is dropped
+    quads = np.fromiter(map(emb.index.get, chain.from_iterable(dataset.questions), repeat(-1)),
+                        np.int64, 5 * count).reshape(count, 5)[:, :4]
+    syntactic = np.fromiter((q[4] == SYNTACTIC for q in dataset.questions), bool, count)
+    known = quads.min(axis=1) >= 0
+    hits = np.zeros(count, dtype=bool)
+    hits[known] = _answers(emb, quads[known, :3]) == quads[known, 3]
 
-    def result(hit: np.ndarray, oov_count: int) -> EvalResult:
-        score = 100.0 * int(hit.sum()) / len(hit) if len(hit) else 0.0
-        return EvalResult(score=score, oov_count=oov_count, evaluated_count=len(hit))
+    def result(chosen: np.ndarray) -> EvalResult:
+        evaluated = int(np.count_nonzero(chosen & known))
+        score = 100.0 * int(np.count_nonzero(chosen & hits)) / evaluated if evaluated else 0.0
+        oov_count = int(np.count_nonzero(chosen)) - evaluated
+        return EvalResult(score=score, oov_count=oov_count, evaluated_count=evaluated)
 
-    return {
-        SEMANTIC: result(hits[~syntactic], oov[SEMANTIC]),
-        SYNTACTIC: result(hits[syntactic], oov[SYNTACTIC]),
-        "total": result(hits, oov[SEMANTIC] + oov[SYNTACTIC]),
-    }
+    everything = np.ones(count, dtype=bool)
+    return {SEMANTIC: result(~syntactic), SYNTACTIC: result(syntactic), "total": result(everything)}
+

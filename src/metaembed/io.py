@@ -15,14 +15,17 @@ numpy formatter (a row holding a value it cannot prove exact goes through
 ``%``), so a save/load round trip preserves it to better than 1e-8 for
 unit-scale vectors.
 
-The first load of a file writes two hidden sidecars beside it, keyed by
-the sha256 of its bytes: the float64 matrix as ``.npy`` (8 bytes per
-value), and the kept words with their records' byte spans; later loads
-of the same bytes memory-map the matrix instead of parsing.  Sidecars of
-older content, and those of a file that is saved over, are removed; any
-may be deleted.  A directory that is unwritable, or whose disk would
-keep less than three times the sidecars' size free, silently gets none.
-Loaded matrices are read-only.
+The first load of a file, and a save without a source, write two hidden
+sidecars beside it, keyed by the sha256 of its bytes: the float64 matrix
+as ``.npy`` (8 bytes per value), and the kept words with their records'
+byte spans (a save's equal those a parse would write); later loads of
+the same bytes memory-map the matrix instead of parsing.  Sidecars of
+older content, and those of a file that is saved over, are removed.  Any
+may be deleted but none edited in place, as a loaded set maps its .npy
+(metaembed only replaces a sidecar by renaming a new one over it).  A
+directory that is unwritable, or whose disk would keep less than three
+times the sidecars' size free, silently gets none.  Loaded matrices are
+read-only.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +242,15 @@ def _non_finite_rows(matrix: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(np.isfinite(matrix.min(axis=1)) & np.isfinite(matrix.max(axis=1))))
 
 
+def _header_dim(line: str, records: int) -> int:
+    """The dim of ``line`` as the header of ``records`` records, else 0."""
+    try:
+        count, dim = map(int, line.split())
+    except ValueError:
+        return 0
+    return dim if count == records and dim > 0 else 0
+
+
 def _parse(path: Path):
     """The kept words, their float64 rows, their records' byte spans (see
     ``EmbeddingSet._text``) and the dropped-duplicate count."""
@@ -248,11 +261,8 @@ def _parse(path: Path):
         # line; otherwise newline="" keeps each line's own ending to count it
         newline = None if f.newlines in (None, "\n") else ""
     offset = len(codecs.BOM_UTF8) if first.startswith("\ufeff") else 0
-    try:  # a "<count> <dim>" first line is a header when count records follow it
-        count, dim = map(int, first[bool(offset):].split())
-        header = count == records and dim > 0
-    except ValueError:
-        header = False
+    dim = _header_dim(first[bool(offset):], records)
+    header = dim > 0
     matrix = np.empty((records, dim)) if header else None
     if not header:
         dim, records = None, records + 1  # the first line may be a record
@@ -304,9 +314,11 @@ def _parse(path: Path):
 def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = None) -> None:
     """Write ``emb`` to ``path`` as plain text, one record per line, and
     remove the sidecars of the file it replaces; an empty word, a word
-    containing whitespace, a first word beginning with U+FEFF, or a non-finite
-    value raises ``ValueError`` naming the word, and a ``source`` of another
-    dimension one naming both dimensions, before the file opens.
+    containing whitespace, a first word beginning with U+FEFF or whose record
+    would reload as a ``"<count> <dim>"`` header, or a non-finite value raises
+    ``ValueError`` naming the word, and a ``source`` of another dimension one
+    naming both dimensions, before the file opens.  Without a ``source``, it
+    also writes the sidecars of the bytes written, so the next load maps them.
 
     ``source`` is a loaded set of ``emb``'s dimension that ``emb`` extends.
     Each row of ``emb`` whose word ``source`` holds with bit-identical
@@ -333,37 +345,59 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
     path = Path(path)
     step = max(1, _BLOCK_VALUES // emb.dim)
     data = _source_bytes(source, path)
+    rows = np.full(len(emb), -1)  # each row's source row, or -1 to format it
+    if data is not None:
+        rows = np.fromiter((source.index.get(w, -1) for w in emb.words), np.intp, len(emb))
+    # without a source, what each written value reads back as, for the sidecars
+    back = np.empty(emb.matrix.shape) if source is None else None
+
+    def blocks():
+        for lo in range(0, len(emb), step):
+            block, copy = emb.matrix[lo:lo + step], rows[lo:lo + step]
+            lines = []
+            if data is not None:
+                known = np.flatnonzero(copy >= 0)
+                same = block[known].view(np.int64) == source.matrix[copy[known]].view(np.int64)
+                copy[known[~same.all(axis=1)]] = -1
+                lines = [data[a:b] for a, b in source._text[2][copy[copy >= 0]].tolist()]
+                if not _single_spaced(b"".join(lines), len(lines), emb.dim):
+                    lines = [line if _single_spaced(line, 1, emb.dim)
+                             else (" ".join(line.decode("utf-8").split()) + "\n").encode("utf-8")
+                             for line in lines]
+            lines = iter(lines)
+            values = iter(_formatted(block[copy < 0], None if back is None else back[lo:lo + step]))
+            yield [next(lines) if row >= 0 else b"%s %s\n" % (word.encode("utf-8"), next(values))
+                   for word, row in zip(emb.words[lo:lo + step], copy.tolist())]
+
     with nullcontext() if data is None else data:
-        rows = np.full(len(emb), -1)  # each row's source row, or -1 to format it
-        if data is not None:
-            rows = np.fromiter((source.index.get(w, -1) for w in emb.words), np.intp, len(emb))
+        pending = blocks()
+        first = next(pending)
+        if _header_dim(first[0].decode("utf-8"), len(emb) - 1):
+            raise ValueError(f"{path}: word {emb.words[0]!r} would reload as the count of a "
+                             "'<count> <dim>' header")
         _remove_sidecars(path)  # they describe the bytes being replaced
+        digest, sizes = hashlib.sha256(), array("q")
         with open(path, "wb") as f:
-            for lo in range(0, len(emb), step):
-                block, copy = emb.matrix[lo:lo + step], rows[lo:lo + step]
-                lines = []
-                if data is not None:
-                    known = np.flatnonzero(copy >= 0)
-                    same = block[known].view(np.int64) == source.matrix[copy[known]].view(np.int64)
-                    copy[known[~same.all(axis=1)]] = -1
-                    lines = [data[a:b] for a, b in source._text[2][copy[copy >= 0]].tolist()]
-                    if not _single_spaced(b"".join(lines), len(lines), emb.dim):
-                        lines = [line if _single_spaced(line, 1, emb.dim)
-                                 else (" ".join(line.decode("utf-8").split()) + "\n").encode("utf-8")
-                                 for line in lines]
-                lines, values = iter(lines), iter(_formatted(block[copy < 0]))
-                f.write(b"".join(
-                    next(lines) if row >= 0 else b"%s %s\n" % (word.encode("utf-8"), next(values))
-                    for word, row in zip(emb.words[lo:lo + step], copy.tolist())
-                ))
+            for block in chain([first], pending):
+                text = b"".join(block)
+                f.write(text)
+                if back is not None:
+                    digest.update(text)
+                    sizes.extend(map(len, block))
+    if back is not None:
+        ends = np.cumsum(sizes)
+        spans = np.stack([ends - np.frombuffer(sizes, np.int64), ends], axis=1)
+        _write_cache(path, digest.hexdigest(), emb.words, back, spans, 0)
 
 
-def _formatted(block: np.ndarray) -> list[bytes]:
+def _formatted(block: np.ndarray, back: np.ndarray | None = None) -> list[bytes]:
     """Each row of ``block`` (finite, at least one column) as ``"%.9g"``
     formats its values, joined by single spaces: each value's 16-byte slot is
     built with uint64 arithmetic, but a row holding a value whose digits that
     cannot prove, near a rounding tie or outside 1e-14 <= |x| < 1e31 but for
-    0, goes through ``%``."""
+    0, goes through ``%``.  ``back``, if given, receives what each token
+    parses as: digits n and exponent e give n * 10**(e - 8), one correctly
+    rounded product or quotient of exact values; a ``%`` row is parsed."""
     if len(block) == 0:  # a block with every row copied
         return []
     x = block.ravel()
@@ -378,6 +412,8 @@ def _formatted(block: np.ndarray) -> list[bytes]:
     n[up] = 1e8
     e += up
     inexact |= _OUTSIDE[e]
+    if back is not None:
+        back[...] = np.copysign(n * _DIV[e] / _MUL[e], x).reshape(block.shape)
     first_shift, head_shift, head_back, split, least, point, fixed_low, fixed_high = (
         table[e] for table in _LAYOUT)
     # x // 10**8, x // 10**4, x // 100 and x // 10 as x * m >> k, exact for
@@ -408,6 +444,8 @@ def _formatted(block: np.ndarray) -> list[bytes]:
     row_format = " ".join(["%" + VALUE_FORMAT] * block.shape[1])
     for r in np.flatnonzero(inexact.reshape(block.shape).any(axis=1)).tolist():
         rows[r] = (row_format % tuple(block[r].tolist())).encode("ascii")
+        if back is not None:
+            back[r] = list(map(float, rows[r].split()))
     return rows
 
 

@@ -1034,23 +1034,34 @@ class TestLoadCache:
         dev.write_text("".join(f"w{i:03d} w{i + 50:03d} {i % 7}\n" for i in range(40, 340, 9)),
                        encoding="utf-8")
 
-        def run(out_dir):
+        def drop_sidecars(directory):
+            for hidden in directory.glob(".*.txt.*"):
+                hidden.unlink()
+
+        parsed = []
+        parse = io._parse
+        monkeypatch.setattr(io, "_parse", lambda path: parsed.append(path.name) or parse(path))
+
+        def run(out_dir, cold):
+            if cold:  # the saves above, and build, wrote sidecars: parse every load
+                drop_sidecars(tmp_path)
             assert main(["build", "--sets", *sets, "--method", "svd", "--dim", "16",
                          "--out", str(out_dir)]) == 0
+            if cold:
+                drop_sidecars(out_dir)
             assert main(["eval-sim", "--emb", str(out_dir / "svd.txt"), "--datasets", str(dev),
                          "--out", str(out_dir / "sim.csv")]) == 0
             return {p.name: p.read_bytes() for p in out_dir.iterdir() if not p.name.startswith(".")}
 
-        cold = run(tmp_path / "cold")
+        cold = run(tmp_path / "cold", cold=True)
         assert set(cold) == {"svd.txt", "svd.json", "sim.csv"}
-        parsed = []
-        parse = io._parse
-        monkeypatch.setattr(io, "_parse", lambda path: parsed.append(path.name) or parse(path))
-        warm = run(tmp_path / "warm")
+        assert parsed == ["a.txt", "b.txt", "c.txt", "svd.txt"]
+        parsed.clear()
+        warm = run(tmp_path / "warm", cold=False)
         assert warm == cold
-        # the inputs came from their sidecars; only the new svd.txt was parsed
-        assert parsed == ["svd.txt"]
+        # the inputs came from their sidecars, and the new svd.txt from those its save wrote
+        assert parsed == []
         assert main(["eval-sim", "--emb", str(tmp_path / "cold" / "svd.txt"), "--datasets",
                      str(dev), "--out", str(tmp_path / "warm.csv")]) == 0
-        assert parsed == ["svd.txt"]
+        assert parsed == []
         assert (tmp_path / "warm.csv").read_bytes() == cold["sim.csv"]

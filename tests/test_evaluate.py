@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaembed import evaluate
 from metaembed.evaluate import (
     SEMANTIC,
     SYNTACTIC,
@@ -338,6 +339,108 @@ class TestEvalAnalogy:
             tracemalloc.stop()
         assert results[SEMANTIC].score == 100.0
         assert peak < 64e6
+
+
+def scanned(monkeypatch, emb, abc):
+    """The kept exhaustive scan's answers: no question is certified."""
+    with monkeypatch.context() as m:
+        m.setattr(evaluate, "_certified", lambda normed, abc: np.full(len(abc), -1))
+        return evaluate._answers(emb, abc)
+
+
+def count_certified(monkeypatch):
+    """From now on, each call of ``_certified`` appends how many answers it proved."""
+    counts, certified = [], evaluate._certified
+
+    def counted(normed, abc):
+        answers = certified(normed, abc)
+        counts.append(int(np.count_nonzero(answers >= 0)))
+        return answers
+
+    monkeypatch.setattr(evaluate, "_certified", counted)
+    return counts
+
+
+def relation_set(rng, n, dim, pairs):
+    """A set of ``n`` shuffled words whose first ``2 * pairs`` rows are
+    ``pairs`` (x, x + r + noise) pairs sharing one relation r, and every
+    benchmark-shaped question over them: each offset pair with each other
+    pair's first word."""
+    matrix = rng.normal(size=(n, dim))
+    relation = rng.normal(size=dim)
+    matrix[1 : 2 * pairs : 2] = matrix[0 : 2 * pairs : 2] + relation + 0.3 * rng.normal(size=(pairs, dim))
+    words = [f"w{i:04d}" for i in rng.permutation(n)]
+    abc = np.array([[2 * i, 2 * i + 1, 2 * j] for i in range(pairs) for j in range(pairs) if i != j])
+    return EmbeddingSet("relations", words, matrix), abc
+
+
+class TestCertifiedAnswers:
+    """Answers proved from a few candidates equal the exhaustive scan's."""
+
+    @pytest.mark.parametrize("n, dim, seed", [(300, 2, 1), (300, 8, 2), (400, 50, 3), (2000, 16, 4)])
+    def test_random_sets_match_the_scan(self, monkeypatch, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        emb = EmbeddingSet("rand", [f"w{i}" for i in rng.permutation(n)], rng.normal(size=(n, dim)))
+        abc = np.array([rng.choice(n, size=3, replace=False) for _ in range(600)])
+        counts = count_certified(monkeypatch)
+        answers = evaluate._answers(emb, abc)
+        assert np.array_equal(answers, scanned(monkeypatch, emb, abc))
+        assert counts[0] > 0
+        assert not (answers[:, None] == abc).any()
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_tie_heavy_sets_match_the_scan(self, monkeypatch, seed):
+        # 300 words share 6 vectors, some exactly and some one ulp apart,
+        # and are stored out of lexicographic order
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(6, 4))[rng.integers(0, 6, 300)]
+        nudged = rng.random(matrix.shape) < 0.1
+        matrix[nudged] = np.nextafter(matrix[nudged], np.inf)
+        emb = EmbeddingSet("ties", [f"w{i:03d}" for i in rng.permutation(300)], matrix)
+        abc = np.array([rng.choice(300, size=3, replace=False) for _ in range(500)])
+        abc[:50, 2] = abc[:50, 1]  # questions whose c is b
+        counts = count_certified(monkeypatch)
+        assert np.array_equal(evaluate._answers(emb, abc), scanned(monkeypatch, emb, abc))
+        assert counts[0] < len(abc)
+
+    @pytest.mark.parametrize("block_floats", [evaluate._BLOCK_FLOATS, 5 * 800, 60 * 800])
+    def test_benchmark_shaped_questions_match_the_scan(self, monkeypatch, block_floats):
+        # 40 pairs, 1,560 questions: 40 offsets and 40 c words, in blocks
+        # of 1 to every distinct score row
+        emb, abc = relation_set(np.random.default_rng(7), 800, 20, 40)
+        monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", block_floats)
+        counts = count_certified(monkeypatch)
+        answers = evaluate._answers(emb, abc)
+        assert counts[0] > len(abc) // 2
+        assert np.array_equal(answers, scanned(monkeypatch, emb, abc))
+        questions = [(*(emb.words[i] for i in q), emb.words[q[2] + 1], SEMANTIC) for q in abc]
+        scored = eval_analogy(emb, AnalogyDataset(questions))
+        monkeypatch.setattr(evaluate, "_certified", lambda normed, abc: np.full(len(abc), -1))
+        assert scored == eval_analogy(emb, AnalogyDataset(questions))
+
+    def test_forced_fallback_matches_the_scan(self, monkeypatch):
+        # with 2 candidates a row, many bounds do not clear
+        emb, abc = relation_set(np.random.default_rng(8), 500, 12, 30)
+        monkeypatch.setattr(evaluate, "_TOP_K", 2)
+        counts = count_certified(monkeypatch)
+        assert np.array_equal(evaluate._answers(emb, abc), scanned(monkeypatch, emb, abc))
+        assert 0 < counts[0] < len(abc)
+
+    @pytest.mark.parametrize("extra, certified", [(0, False), (1, True)])
+    def test_small_vocabularies_take_the_scan(self, monkeypatch, extra, certified):
+        n = 2 * evaluate._TOP_K + 3 + extra
+        rng = np.random.default_rng(9)
+        emb = EmbeddingSet("small", [f"w{i:02d}" for i in rng.permutation(n)], rng.normal(size=(n, 3)))
+        abc = np.array([rng.choice(n, size=3, replace=False) for _ in range(200)])
+        counts = count_certified(monkeypatch)
+        assert np.array_equal(evaluate._answers(emb, abc), scanned(monkeypatch, emb, abc))
+        assert (counts[0] > 0) == certified
+
+    def test_margin_covers_the_scan_rounding(self):
+        # (12d + 16) u: twice the gap between D + C and the scan's score,
+        # plus the comparison's own rounding (see _certified)
+        for d in (1, 8, 300, 10_000):
+            assert evaluate._MARGIN * (d + 4) >= (12 * d + 16) * 2.0**-53
 
 
 class TestLoaders:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metaembed import io
@@ -171,6 +171,8 @@ class TestLoad:
         )
         path = tmp_path / "mem.txt"
         save_embedding_set(emb, path)
+        for name in sidecars(path):  # measure a parse, not a hit on the save's sidecars
+            (tmp_path / name).unlink()
         tracemalloc.start()
         try:
             loaded = load_embedding_set(path)
@@ -200,9 +202,12 @@ def count_parses(monkeypatch):
 class TestCache:
     @pytest.fixture
     def path(self, tmp_path):
+        """A saved file without sidecars, so that its first load parses."""
         rng = np.random.default_rng(5)
         emb = EmbeddingSet("r", [f"w{i}" for i in range(300)], rng.normal(size=(300, 7)))
         save_embedding_set(emb, tmp_path / "vectors.txt")
+        for name in sidecars(tmp_path / "vectors.txt"):
+            (tmp_path / name).unlink()
         return tmp_path / "vectors.txt"
 
     def test_warm_load_equals_cold_load(self, path, monkeypatch):
@@ -325,7 +330,9 @@ class TestCache:
         load_embedding_set(path)
         load_embedding_set(other)
         save_embedding_set(EmbeddingSet("s", ["a"], [[1.0]]), path)
-        assert sidecars(path) == sidecars(other)
+        # only the sidecars the save wrote for its own bytes are left
+        saved = [p.name for p in io._sidecars(path, io._digest(path))]
+        assert sidecars(path) == sorted(sidecars(other) + saved)
         assert len(sidecars(other)) == 2
 
     def test_sidecars_of_an_earlier_version_are_not_read(self, tmp_path):
@@ -416,6 +423,46 @@ class TestSave:
             save_embedding_set(emb, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("words, first", [
+        (["2", "a", "b"], 1.0),
+        (["3", "a", "b", "c"], 2.0),
+        (["+2", "a", "b"], 7.0),
+        (["\u0662", "a", "b"], 1.0),  # ARABIC-INDIC DIGIT TWO, which int() reads as 2
+    ])
+    def test_first_record_read_as_a_header_refused_before_writing(self, tmp_path, words, first):
+        # "2 1" followed by two records would reload as a "<count> <dim>"
+        # header, dropping the word "2" (or failing on the next line)
+        matrix = np.full((len(words), 1), 0.5)
+        matrix[0] = first
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=re.escape(f"word {words[0]!r} would reload as the count")):
+            save_embedding_set(EmbeddingSet("h", words, matrix), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("words, matrix", [
+        (["2", "a"], [[1.0], [0.5]]),  # count 2, but one record follows
+        (["2", "a", "b"], [[1.5], [0.5], [0.25]]),  # "1.5" is no int
+        (["2", "a", "b"], [[0.0], [0.5], [0.25]]),  # a header's dim is positive
+        (["2", "a", "b"], [[1.0, 1.0], [0.5, 0.5], [0.25, 0.25]]),  # three tokens
+    ])
+    def test_first_record_that_is_no_header_saves(self, tmp_path, words, matrix):
+        path = tmp_path / "out.txt"
+        save_embedding_set(EmbeddingSet("h", words, matrix), path)
+        for name in sidecars(path):
+            (tmp_path / name).unlink()
+        assert load_embedding_set(path).words == words
+
+    def test_header_test_reads_the_copied_record(self, tmp_path):
+        # copied, the record of "2" keeps its "1.0", which is no int;
+        # formatted, it would read "2 1"
+        source = load_embedding_set(write(tmp_path, "a 0.5\n2 1.0\n"))
+        emb = EmbeddingSet("x", ["2", "a", "b"], [[1.0], [0.5], [0.25]])
+        save_embedding_set(emb, tmp_path / "out.txt", source=source)
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "2 1.0\na 0.5\nb 0.25\n"
+        assert load_embedding_set(tmp_path / "out.txt").words == emb.words
+        with pytest.raises(ValueError, match="would reload as the count"):
+            save_embedding_set(emb, tmp_path / "formatted.txt")
+
     @pytest.mark.parametrize("word", ["a b", "a\tb", "a\u2028b", "a\u0085b", "", "\ufeffa"])
     def test_unreadable_word_refused_before_writing(self, tmp_path, word):
         # the loader cannot read these back: whitespace splits the word,
@@ -439,19 +486,21 @@ def finite_bits(bits):
     return float(value) if np.isfinite(value) else 0.0
 
 
+finite_values = st.one_of(
+    st.integers(0, 2**64 - 1).map(finite_bits),  # any bit pattern
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e31, 1e31),
+    # short decimals and values near a rounding tie, in every decade written
+    st.builds(lambda m, k: m * 10.0 ** k, st.integers(-10**10, 10**10), st.integers(-24, 31)),
+)
+
+
 class TestFormatted:
     """The numpy formatter writes each value byte for byte as ``%`` does."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda d: st.lists(
-        st.lists(st.one_of(
-            st.integers(0, 2**64 - 1).map(finite_bits),  # any bit pattern
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.floats(-1e31, 1e31),
-            # short decimals and values near a rounding tie, in every decade written
-            st.builds(lambda m, k: m * 10.0 ** k, st.integers(-10**10, 10**10), st.integers(-24, 31)),
-        ), min_size=d, max_size=d),
-        min_size=1, max_size=6)))
+        st.lists(finite_values, min_size=d, max_size=d), min_size=1, max_size=6)))
     def test_matches_percent_on_any_finite_matrix(self, rows):
         block = np.array(rows, dtype=np.float64)
         assert io._formatted(block) == percent_formatted(block)
@@ -473,11 +522,66 @@ class TestFormatted:
         wide = rng.normal(size=(3, 4)) * 1e200
         assert io._formatted(wide) == percent_formatted(wide)
 
+    def test_read_back_equals_the_parse_of_what_is_written(self):
+        # 200k values over 49 decades, 9-digit ones among them: the kernel's
+        # n * 10**(e - 8) must round as parsing its text does
+        rng = np.random.default_rng(22)
+        shape = (20_000, 10)
+        block = rng.uniform(-10.0, 10.0, shape) * 10.0 ** rng.integers(-16, 33, shape)
+        block[::7] = np.round(block[::7] * 1e8) / 1e8
+        back = np.full(shape, np.nan)
+        rows = io._formatted(block, back)
+        parsed = np.array([row.split() for row in rows]).astype(np.float64)
+        assert np.array_equal(back.view(np.int64), parsed.view(np.int64))
+
     def test_rows_of_every_decade_and_an_empty_block(self):
         block = np.random.default_rng(21).normal(size=(9, 4)) * 10.0 ** np.arange(-6, 30, 4)[:, None]
         block[4, 2] = 999999999.5  # one row through %
         assert io._formatted(block) == percent_formatted(block)
         assert io._formatted(block[:0]) == []
+
+
+class TestSaveSidecars:
+    """A save without a source writes the sidecars a parse of its file would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda d: st.lists(
+        st.tuples(
+            # no digit, so no first record reads as a "<count> <dim>" header
+            st.text(alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs", "Nd")),
+                    min_size=1, max_size=6).filter(lambda w: not w.startswith("\ufeff")),
+            st.lists(finite_values, min_size=d, max_size=d),
+        ),
+        min_size=1, max_size=6, unique_by=lambda record: record[0])))
+    @example([("caf\u00e9", [1e300, 0.5]), ("b", [999999999.5, -0.0])])  # rows that take %
+    def test_sidecars_equal_a_parse_of_the_file(self, tmp_path_factory, records):
+        emb = EmbeddingSet("s", [w for w, _ in records], [v for _, v in records])
+        path = tmp_path_factory.mktemp("sidecars") / "v.txt"
+        save_embedding_set(emb, path)
+        saved = io._read_cache(*io._sidecars(path, io._digest(path)))
+        words, matrix, spans, duplicates = io._parse(path)
+        assert saved[0] == words == emb.words
+        assert np.array_equal(saved[1].view(np.int64), matrix.view(np.int64))
+        assert np.array_equal(saved[2], spans)
+        assert saved[3] == duplicates == 0
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(io, "_parse", lambda p: pytest.fail(f"{p} was parsed"))
+            warm = load_embedding_set(path)
+        assert warm.words == words
+        assert np.array_equal(warm.matrix.view(np.int64), matrix.view(np.int64))
+        # a cold reload writes the same two files again
+        written = [(p, p.read_bytes()) for p in sorted(path.parent.glob(".v.txt.*"))]
+        for p, _ in written:
+            p.unlink()
+        load_embedding_set(path)
+        assert [(p, p.read_bytes()) for p in sorted(path.parent.glob(".v.txt.*"))] == written
+        assert len(written) == 2
+
+    def test_saves_with_a_source_write_none(self, tmp_path):
+        source = load_embedding_set(write(tmp_path, "a 0.500000 1\n"))
+        save_embedding_set(EmbeddingSet("x", ["a", "b"], [[0.5, 1.0], [2.0, 3.0]]),
+                           tmp_path / "out.txt", source=source)
+        assert sidecars(tmp_path / "out.txt") == []
 
 
 class TestSaveFromSource:
