@@ -6,10 +6,10 @@ vectors, reported as rho * 100.  Analogy questions "a is to b as c is
 to ?" are answered by the vocabulary word closest to b - a + c in
 cosine, excluding a, b, and c, breaking exact ties by lexicographic
 word order; a question that leaves no other word raises ``ValueError``.
-Items involving any missing word are skipped and counted as OOV rather
-than scored.
-Only questions whose answer a few candidates cannot certify, after the
-threshold algorithm of Fagin, Lotem and Naor (2003), take that scan.
+The answer comes from a few certified candidates (after the threshold
+algorithm of Fagin, Lotem and Naor, 2003), or else from an exhaustive
+scan.  Items involving any missing word are skipped and counted as OOV
+rather than scored.
 """
 
 from __future__ import annotations
