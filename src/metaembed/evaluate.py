@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import EmbeddingSet
+from .io import EmbeddingSet, _non_finite_rows
 from .linalg import normalize_rows
 
 SEMANTIC = "semantic"
@@ -29,11 +29,13 @@ SYNTACTIC = "syntactic"
 # Floats in one block of scores (32 MB), and the scan's questions per product.
 _BLOCK_FLOATS = 2**22
 _ANALOGY_CHUNK = 256
-# Candidates per score row, and the certifying lead per unit of d + 4 (see
-# _certified), whose inner loops hold 2**16 values a temporary (512 kB): the
-# allocator reuses those, where whole blocks faulted in fresh pages.
+# Candidates per score row, the certifying lead per unit of d + 4, the most
+# score rows per question of a block worth certifying (0.70 was measured to
+# be no faster than the scan), and the values an inner loop of _certified
+# holds (peak RSS 88 MB against 122 MB unsliced, at 2,522 words).
 _TOP_K = 32
 _MARGIN = 16 * 2.0**-53
+_ROWS_PER_QUESTION = 0.5
 _SLICE_FLOATS = 2**16
 
 
@@ -215,10 +217,13 @@ def _certified(normed: np.ndarray, abc: np.ndarray) -> np.ndarray:
     all of a set of non-finite rows or at most 2 ``_TOP_K`` + 3 words, go
     to the scan.  Questions go in offset order; a block needs a row per
     offset and at most one per question or c word, within ``_BLOCK_FLOATS``.
+    A block pays only when its questions share those rows, which a large
+    vocabulary's few rows per block prevent: one with more than
+    ``_ROWS_PER_QUESTION`` rows per question is left to the scan.
     """
     n, d = normed.shape
     answers = np.full(len(abc), -1, dtype=np.int64)
-    if n <= 2 * _TOP_K + 3 or not np.isfinite(normed).all():
+    if n <= 2 * _TOP_K + 3 or _non_finite_rows(normed).size:
         return answers
     pairs, offset = np.unique(abc[:, 0] * n + abc[:, 1], return_inverse=True)
     by_offset = np.argsort(offset, kind="stable")
@@ -227,13 +232,16 @@ def _certified(normed: np.ndarray, abc: np.ndarray) -> np.ndarray:
     growing = sorted_offset + np.arange(len(abc))
     budget, c_words = max(2, _BLOCK_FLOATS // n), np.count_nonzero(np.bincount(abc[:, 2]))
     kth, cut, step = n - _TOP_K - 1, max(1, _SLICE_FLOATS // n), _SLICE_FLOATS // (2 * _TOP_K)
-    lo = 0
-    while lo < len(abc):
+    hi = 0
+    while hi < len(abc):
+        lo = hi
         hi = max(lo + 1, np.searchsorted(growing, growing[lo] + budget - 2, "right"),
                  np.searchsorted(sorted_offset, sorted_offset[lo] + budget - 1 - c_words, "right"))
         block, first = by_offset[lo:hi], sorted_offset[lo]
         ab = pairs[first : sorted_offset[hi - 1] + 1]
         c_rows, c_row = np.unique(abc[block, 2], return_inverse=True)
+        if len(ab) + len(c_rows) > _ROWS_PER_QUESTION * len(block):
+            continue
         scores = np.concatenate([normed[ab % n] - normed[ab // n], normed[c_rows]]) @ normed.T
         d_rows, c_rows_at = np.arange(len(ab)), len(ab) + np.arange(len(c_rows))
         scores[np.r_[d_rows, d_rows, c_rows_at], np.r_[ab // n, ab % n, c_rows]] = -np.inf
@@ -254,7 +262,6 @@ def _certified(normed: np.ndarray, abc: np.ndarray) -> np.ndarray:
             sure = (lead > e.max(axis=1)) & (lead > outside[rows].sum(axis=1))
             answers[block[s : s + step][sure]] = pick[sure]
         del scores  # freed before the next block is allocated
-        lo = hi
     return answers
 
 

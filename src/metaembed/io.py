@@ -199,29 +199,56 @@ def _read_cache(npy: Path, vocab: Path):
 
 
 def _write_cache(path: Path, digest: str, words, matrix, spans, duplicates) -> None:
-    """Write both sidecars, then remove those of other keys.  Nothing is
-    written when the disk would keep less than three times their size free,
-    which leaves room for the command's own outputs; any ``OSError``, such
-    as from a read-only directory, skips the rest silently."""
+    """Write both sidecars, then remove those of other keys.  ``matrix`` is
+    the float64 matrix, or the path of a temp .npy holding it (see
+    ``_npy_temp``), which is renamed into place.  Nothing is written when
+    the disk would keep less than three times their size free, counting
+    such a temp as free, which leaves room for the command's own outputs;
+    any ``OSError``, such as from a read-only directory, skips the rest
+    silently."""
     hex_spans = spans.astype("<i8").tobytes().hex()
     text = "\n".join([f"{len(words)} {duplicates}", *words, hex_spans, ""]).encode("utf-8")
     sidecars = _sidecars(path, digest)
+    written = isinstance(matrix, Path)
     try:
-        if shutil.disk_usage(path.parent).free < 4 * (matrix.nbytes + len(text)):
+        size = matrix.stat().st_size if written else matrix.nbytes
+        if shutil.disk_usage(path.parent).free + written * size < 4 * (size + len(text)):
             return
-        for target, write in zip(sidecars, (lambda f: np.save(f, matrix), lambda f: f.write(text))):
+        writers = (None if written else lambda f: np.save(f, matrix), lambda f: f.write(text))
+        for target, write in zip(sidecars, writers):
             # written whole under a unique temp name, then renamed: no reader
             # sees half a sidecar (and the umask sets its mode, as for the text)
-            tmp = path.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
+            tmp = matrix if write is None else _temp_name(path, target.name)
             try:
-                with open(tmp, "xb") as f:
-                    write(f)
+                if write is not None:
+                    with open(tmp, "xb") as f:
+                        write(f)
                 os.replace(tmp, target)
             finally:
                 tmp.unlink(missing_ok=True)
         _remove_sidecars(path, keep=[s.name for s in sidecars])
     except OSError:
         pass
+
+
+def _temp_name(path: Path, name: str) -> Path:
+    return path.with_name(f"{name}.{os.urandom(6).hex()}.tmp")
+
+
+def _npy_temp(path: Path, shape: tuple[int, int]) -> Path | None:
+    """A new temp file beside ``path`` holding ``np.save``'s header of a
+    float64 matrix of ``shape``, for its rows to be appended; None when the
+    disk has under four times its size free or cannot be written to."""
+    tmp = _temp_name(path, f".{path.name}.npy")
+    try:
+        if shutil.disk_usage(path.parent).free < 4 * 8 * shape[0] * shape[1]:
+            return None
+        with open(tmp, "xb") as f:
+            np.lib.format.write_array_header_1_0(f, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        return tmp
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        return None
 
 
 def _remove_sidecars(path: Path, keep=()) -> None:
@@ -348,8 +375,8 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
     rows = np.full(len(emb), -1)  # each row's source row, or -1 to format it
     if data is not None:
         rows = np.fromiter((source.index.get(w, -1) for w in emb.words), np.intp, len(emb))
-    # without a source, what each written value reads back as, for the sidecars
-    back = np.empty(emb.matrix.shape) if source is None else None
+    # without a source, a temp .npy for what each written value reads back as
+    npy = _npy_temp(path, emb.matrix.shape) if source is None else None
 
     def blocks():
         for lo in range(0, len(emb), step):
@@ -364,30 +391,35 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
                     lines = [line if _single_spaced(line, 1, emb.dim)
                              else (" ".join(line.decode("utf-8").split()) + "\n").encode("utf-8")
                              for line in lines]
-            lines = iter(lines)
-            values = iter(_formatted(block[copy < 0], None if back is None else back[lo:lo + step]))
+            back = None if npy is None else np.empty(block.shape)
+            lines, values = iter(lines), iter(_formatted(block[copy < 0], back))
             yield [next(lines) if row >= 0 else b"%s %s\n" % (word.encode("utf-8"), next(values))
-                   for word, row in zip(emb.words[lo:lo + step], copy.tolist())]
+                   for word, row in zip(emb.words[lo:lo + step], copy.tolist())], back
 
-    with nullcontext() if data is None else data:
-        pending = blocks()
-        first = next(pending)
-        if _header_dim(first[0].decode("utf-8"), len(emb) - 1):
-            raise ValueError(f"{path}: word {emb.words[0]!r} would reload as the count of a "
-                             "'<count> <dim>' header")
-        _remove_sidecars(path)  # they describe the bytes being replaced
-        digest, sizes = hashlib.sha256(), array("q")
-        with open(path, "wb") as f:
-            for block in chain([first], pending):
-                text = b"".join(block)
-                f.write(text)
-                if back is not None:
-                    digest.update(text)
-                    sizes.extend(map(len, block))
-    if back is not None:
-        ends = np.cumsum(sizes)
-        spans = np.stack([ends - np.frombuffer(sizes, np.int64), ends], axis=1)
-        _write_cache(path, digest.hexdigest(), emb.words, back, spans, 0)
+    try:
+        with nullcontext() if data is None else data:
+            pending = blocks()
+            first = next(pending)
+            if _header_dim(first[0][0].decode("utf-8"), len(emb) - 1):
+                raise ValueError(f"{path}: word {emb.words[0]!r} would reload as the count of a "
+                                 "'<count> <dim>' header")
+            _remove_sidecars(path)  # they describe the bytes being replaced
+            digest, sizes = hashlib.sha256(), array("q")
+            with open(path, "wb") as f, nullcontext() if npy is None else open(npy, "ab") as g:
+                for block, back in chain([first], pending):
+                    text = b"".join(block)
+                    f.write(text)
+                    if npy is not None:  # the temp is on the file's own disk: its errors are the save's
+                        digest.update(text)
+                        sizes.extend(map(len, block))
+                        g.write(back)
+        if npy is not None:
+            ends = np.cumsum(sizes)
+            spans = np.stack([ends - np.frombuffer(sizes, np.int64), ends], axis=1)
+            _write_cache(path, digest.hexdigest(), emb.words, npy, spans, 0)
+    finally:
+        if npy is not None:
+            npy.unlink(missing_ok=True)
 
 
 def _formatted(block: np.ndarray, back: np.ndarray | None = None) -> list[bytes]:

@@ -348,9 +348,12 @@ def scanned(monkeypatch, emb, abc):
         return evaluate._answers(emb, abc)
 
 
-def count_certified(monkeypatch):
-    """From now on, each call of ``_certified`` appends how many answers it proved."""
+def count_certified(monkeypatch, every_block=True):
+    """From now on, each call of ``_certified`` appends how many answers it
+    proved; with ``every_block``, it also tries blocks that share no rows."""
     counts, certified = [], evaluate._certified
+    if every_block:
+        monkeypatch.setattr(evaluate, "_ROWS_PER_QUESTION", np.inf)
 
     def counted(normed, abc):
         answers = certified(normed, abc)
@@ -403,15 +406,21 @@ class TestCertifiedAnswers:
         assert np.array_equal(evaluate._answers(emb, abc), scanned(monkeypatch, emb, abc))
         assert counts[0] < len(abc)
 
-    @pytest.mark.parametrize("block_floats", [evaluate._BLOCK_FLOATS, 5 * 800, 60 * 800])
-    def test_benchmark_shaped_questions_match_the_scan(self, monkeypatch, block_floats):
-        # 40 pairs, 1,560 questions: 40 offsets and 40 c words, in blocks
-        # of 1 to every distinct score row
+    @pytest.mark.parametrize("block_floats, every_block", [
+        (evaluate._BLOCK_FLOATS, False), (60 * 800, False), (5 * 800, True), (5 * 800, False)])
+    def test_benchmark_shaped_questions_match_the_scan(self, monkeypatch, block_floats, every_block):
+        # 40 pairs, 1,560 questions: 40 offsets and 40 c words, in blocks of
+        # 1 to every distinct score row; a block of 5 rows holds one offset
+        # and a c row per question, more rows than questions, so it goes to
+        # the scan unless every block is tried
         emb, abc = relation_set(np.random.default_rng(7), 800, 20, 40)
         monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", block_floats)
-        counts = count_certified(monkeypatch)
+        counts = count_certified(monkeypatch, every_block)
         answers = evaluate._answers(emb, abc)
-        assert counts[0] > len(abc) // 2
+        if block_floats == 5 * 800 and not every_block:
+            assert counts == [0]
+        else:
+            assert counts[0] > len(abc) // 2
         assert np.array_equal(answers, scanned(monkeypatch, emb, abc))
         questions = [(*(emb.words[i] for i in q), emb.words[q[2] + 1], SEMANTIC) for q in abc]
         scored = eval_analogy(emb, AnalogyDataset(questions))

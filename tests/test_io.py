@@ -577,6 +577,40 @@ class TestSaveSidecars:
         assert [(p, p.read_bytes()) for p in sorted(path.parent.glob(".v.txt.*"))] == written
         assert len(written) == 2
 
+    def test_peak_memory_is_well_below_the_matrix(self, tmp_path):
+        # what the values read back as is appended to the .npy block by block
+        rng = np.random.default_rng(2)
+        emb = EmbeddingSet("mem", [f"w{i}" for i in range(20000)], rng.uniform(-1.0, 1.0, (20000, 100)))
+        path = tmp_path / "mem.txt"
+        tracemalloc.start()
+        try:
+            save_embedding_set(emb, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sidecars(path)) == 2
+        assert peak < emb.matrix.nbytes / 2
+
+    def test_unwritable_directory_still_saves(self, tmp_path, monkeypatch):
+        # root ignores chmod, so the rename that would publish a sidecar fails instead
+        def fail(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(os, "replace", fail)
+        save_embedding_set(EmbeddingSet("s", ["a", "b"], [[0.5], [2.0]]), tmp_path / "v.txt")
+        assert (tmp_path / "v.txt").read_bytes() == b"a 0.5\nb 2\n"
+        assert sidecars(tmp_path / "v.txt") == []  # no temp file is left either
+
+    def test_nearly_full_disk_gets_no_sidecars(self, tmp_path, monkeypatch):
+        # at 500 bytes free the temp .npy is written, but not both sidecars
+        emb = EmbeddingSet("s", ["a", "b"], [[0.5, 1.0], [2.0, 3.0]])
+        for space, written in ((4 * emb.matrix.nbytes - 1, 0), (500, 0), (10 ** 6, 2)):
+            monkeypatch.setattr(io.shutil, "disk_usage", lambda p: shutil._ntuple_diskusage(
+                10 ** 12, 10 ** 12 - space, space))
+            save_embedding_set(emb, tmp_path / "v.txt")
+            assert (tmp_path / "v.txt").read_bytes() == b"a 0.5 1\nb 2 3\n"
+            assert len(sidecars(tmp_path / "v.txt")) == written
+
     def test_saves_with_a_source_write_none(self, tmp_path):
         source = load_embedding_set(write(tmp_path, "a 0.500000 1\n"))
         save_embedding_set(EmbeddingSet("x", ["a", "b"], [[0.5, 1.0], [2.0, 3.0]]),
