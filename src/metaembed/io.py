@@ -200,12 +200,11 @@ def _read_cache(npy: Path, vocab: Path):
 
 def _write_cache(path: Path, digest: str, words, matrix, spans, duplicates) -> None:
     """Write both sidecars, then remove those of other keys.  ``matrix`` is
-    the float64 matrix, or the path of a temp .npy holding it (see
-    ``_npy_temp``), which is renamed into place.  Nothing is written when
-    the disk would keep less than three times their size free, counting
-    such a temp as free, which leaves room for the command's own outputs;
-    any ``OSError``, such as from a read-only directory, skips the rest
-    silently."""
+    the float64 matrix, or a temp .npy of it from ``_npy_temp`` to rename.
+    Nothing is written when the disk would keep less than three times their
+    size free (such a temp counting as free), which leaves room for the
+    command's own outputs; any ``OSError``, such as from a read-only
+    directory, skips the rest silently."""
     hex_spans = spans.astype("<i8").tobytes().hex()
     text = "\n".join([f"{len(words)} {duplicates}", *words, hex_spans, ""]).encode("utf-8")
     sidecars = _sidecars(path, digest)
@@ -218,7 +217,7 @@ def _write_cache(path: Path, digest: str, words, matrix, spans, duplicates) -> N
         for target, write in zip(sidecars, writers):
             # written whole under a unique temp name, then renamed: no reader
             # sees half a sidecar (and the umask sets its mode, as for the text)
-            tmp = matrix if write is None else _temp_name(path, target.name)
+            tmp = matrix if write is None else path.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
             try:
                 if write is not None:
                     with open(tmp, "xb") as f:
@@ -231,24 +230,20 @@ def _write_cache(path: Path, digest: str, words, matrix, spans, duplicates) -> N
         pass
 
 
-def _temp_name(path: Path, name: str) -> Path:
-    return path.with_name(f"{name}.{os.urandom(6).hex()}.tmp")
-
-
 def _npy_temp(path: Path, shape: tuple[int, int]) -> Path | None:
     """A new temp file beside ``path`` holding ``np.save``'s header of a
     float64 matrix of ``shape``, for its rows to be appended; None when the
     disk has under four times its size free or cannot be written to."""
-    tmp = _temp_name(path, f".{path.name}.npy")
+    tmp = path.with_name(f".{path.name}.npy.{os.urandom(6).hex()}.tmp")
+    header = {"descr": "<f8", "fortran_order": False, "shape": shape}
     try:
-        if shutil.disk_usage(path.parent).free < 4 * 8 * shape[0] * shape[1]:
-            return None
-        with open(tmp, "xb") as f:
-            np.lib.format.write_array_header_1_0(f, {"descr": "<f8", "fortran_order": False, "shape": shape})
-        return tmp
+        if shutil.disk_usage(path.parent).free >= 4 * 8 * shape[0] * shape[1]:
+            with open(tmp, "xb") as f:
+                np.lib.format.write_array_header_1_0(f, header)
+            return tmp
     except OSError:
         tmp.unlink(missing_ok=True)
-        return None
+    return None
 
 
 def _remove_sidecars(path: Path, keep=()) -> None:
