@@ -29,13 +29,11 @@ SYNTACTIC = "syntactic"
 # Floats in one block of scores (32 MB), and the scan's questions per product.
 _BLOCK_FLOATS = 2**22
 _ANALOGY_CHUNK = 256
-# Candidates per score row, the certifying lead per unit of d + 4, the most
-# score rows per question of a block worth certifying (0.70 was measured to
-# be no faster than the scan), and the values an inner loop of _certified
-# holds (peak RSS 88 MB against 122 MB unsliced, at 2,522 words).
+# Candidates per score row, the certifying lead per unit of d + 4, and the
+# values an inner loop of _certified holds (at 2,522 words, peak RSS 84 MB
+# against 106 MB with the argpartition unsliced and 117 MB with neither loop).
 _TOP_K = 32
 _MARGIN = 16 * 2.0**-53
-_ROWS_PER_QUESTION = 0.5
 _SLICE_FLOATS = 2**16
 
 
@@ -202,67 +200,64 @@ def _certified(normed: np.ndarray, abc: np.ndarray) -> np.ndarray:
     """The scan's answer to each (a, b, c) row of ``abc`` that a few
     candidates prove, else -1.
 
-    A block's one product scores its distinct offsets t = b - a (rounded as
-    the scan rounds them) and c rows against each row v: D = t.v with a and
-    b masked (-inf), C = c.v with c masked.  The candidates are the top
-    ``_TOP_K`` columns of both rows, scored E = D + C; any other word has E
-    <= D' + C', the largest values outside them.  For unit rows, |t| <= 2,
-    and a d-term dot product rounds within gamma = d u / (1 - d u) of its
-    terms' summed magnitudes (u = 2**-53), so E is within 3 gamma + 3u of
-    (t + c).v, the scan's fl(fl(t + c).v) within 3 gamma (1 + u) + 3u, and
-    the two within eps ~ (6d + 6) u.  A pick leading the other candidates
-    and D' + C' by more than 2 eps plus the comparison's own rounding, 4u,
-    has the strictly largest scan score: ``_MARGIN * (d + 4)`` = (16d + 64) u
-    > (12d + 16) u, with room for norms off 1 by a few d u.  The rest, and
-    all of a set of non-finite rows or at most 2 ``_TOP_K`` + 3 words, go
-    to the scan.  Questions go in offset order; a block needs a row per
-    offset and at most one per question or c word, within ``_BLOCK_FLOATS``.
-    A block pays only when its questions share those rows, which a large
-    vocabulary's few rows per block prevent: one with more than
-    ``_ROWS_PER_QUESTION`` rows per question is left to the scan.
+    The vocabulary is cut into blocks of consecutive rows, of about
+    ``_BLOCK_FLOATS`` scores but at least 2 ``_TOP_K`` + 3 words each.  One
+    product per block scores every distinct offset t = b - a (rounded as the
+    scan rounds it) and c row against each row v of the block: D = t.v with
+    a and b masked (-inf), C = c.v with c masked.  A block's candidates are
+    the top ``_TOP_K`` columns of both rows, scored E = D + C; any other
+    word of the block has E <= D' + C', the largest values outside them.
+    Across blocks each question keeps its best E and a rival bounding every
+    other word: the block runner-up after every copy of the pick, D' + C',
+    and the lower of the old and the block best, so the one-block proof
+    holds block by block.  For unit rows, |t| <= 2, and a d-term dot product
+    rounds within gamma = d u / (1 - d u) of its terms' summed magnitudes
+    (u = 2**-53), so E is within 3 gamma + 3u of (t + c).v, the scan's
+    fl(fl(t + c).v) within 3 gamma (1 + u) + 3u, and the two within
+    eps ~ (6d + 6) u.  A best leading its rival by more than 2 eps plus the
+    comparison's own rounding, 4u, has the strictly largest scan score:
+    ``_MARGIN * (d + 4)`` = (16d + 64) u > (12d + 16) u, with room for
+    norms off 1 by a few d u.  The rest, and all of a set of non-finite rows
+    or at most 2 ``_TOP_K`` + 3 words, go to the scan.
     """
     n, d = normed.shape
     answers = np.full(len(abc), -1, dtype=np.int64)
     if n <= 2 * _TOP_K + 3 or _non_finite_rows(normed).size:
         return answers
     pairs, offset = np.unique(abc[:, 0] * n + abc[:, 1], return_inverse=True)
-    by_offset = np.argsort(offset, kind="stable")
-    sorted_offset = offset[by_offset]
-    # growing[hi - 1] - growing[lo] + 2: the offset rows plus questions of [lo, hi)
-    growing = sorted_offset + np.arange(len(abc))
-    budget, c_words = max(2, _BLOCK_FLOATS // n), np.count_nonzero(np.bincount(abc[:, 2]))
-    kth, cut, step = n - _TOP_K - 1, max(1, _SLICE_FLOATS // n), _SLICE_FLOATS // (2 * _TOP_K)
-    hi = 0
-    while hi < len(abc):
-        lo = hi
-        hi = max(lo + 1, np.searchsorted(growing, growing[lo] + budget - 2, "right"),
-                 np.searchsorted(sorted_offset, sorted_offset[lo] + budget - 1 - c_words, "right"))
-        block, first = by_offset[lo:hi], sorted_offset[lo]
-        ab = pairs[first : sorted_offset[hi - 1] + 1]
-        c_rows, c_row = np.unique(abc[block, 2], return_inverse=True)
-        if len(ab) + len(c_rows) > _ROWS_PER_QUESTION * len(block):
-            continue
-        scores = np.concatenate([normed[ab % n] - normed[ab // n], normed[c_rows]]) @ normed.T
-        d_rows, c_rows_at = np.arange(len(ab)), len(ab) + np.arange(len(c_rows))
-        scores[np.r_[d_rows, d_rows, c_rows_at], np.r_[ab // n, ab % n, c_rows]] = -np.inf
+    c_words, c_row = np.unique(abc[:, 2], return_inverse=True)
+    rows = np.concatenate([normed[pairs % n] - normed[pairs // n], normed[c_words]])
+    d_rows, c_rows = np.arange(len(pairs)), len(pairs) + np.arange(len(c_words))
+    masked_rows, masked = np.r_[d_rows, d_rows, c_rows], np.r_[pairs // n, pairs % n, c_words]
+    pairs_of_rows = np.stack([offset, c_row + len(pairs)], axis=1)  # D row, C row
+    best, rival = np.full(len(abc), -np.inf), np.full(len(abc), -np.inf)
+    parts = max(1, min(-(-n * len(rows) // _BLOCK_FLOATS), n // (2 * _TOP_K + 3)))
+    lo, step = 0, _SLICE_FLOATS // (2 * _TOP_K)
+    for block in np.array_split(normed, parts):
+        w = len(block)
+        scores = rows @ block.T
+        inside = (masked >= lo) & (masked < lo + w)
+        scores[masked_rows[inside], masked[inside] - lo] = -np.inf
         # per row: the column of the largest value outside the top k, then the top k
-        top = np.empty((len(scores), _TOP_K + 1), dtype=np.int64)
-        for s in range(0, len(scores), cut):
+        kth, cut = w - _TOP_K - 1, max(1, _SLICE_FLOATS // w)
+        top = np.empty((len(rows), _TOP_K + 1), dtype=np.int64)
+        for s in range(0, len(rows), cut):
             top[s : s + cut] = np.argpartition(scores[s : s + cut], kth, axis=1)[:, kth:]
-        outside, top = scores[np.arange(len(scores)), top[:, 0]], np.ascontiguousarray(top[:, 1:])
-        pairs_of_rows = np.stack([offset[block] - first, c_row + len(ab)], axis=1)  # D row, C row
-        for s in range(0, len(block), step):
-            rows = pairs_of_rows[s : s + step]
-            candidates = top[rows].reshape(len(rows), -1)
-            e = np.take(scores, rows[:, :1] * n + candidates) + np.take(scores, rows[:, 1:] * n + candidates)
-            best = e.argmax(axis=1)
-            pick = np.take_along_axis(candidates, best[:, None], axis=1)[:, 0]
-            lead = e[np.arange(len(e)), best] - _MARGIN * (d + 4)
+        outside, top = scores[np.arange(len(rows)), top[:, 0]], np.ascontiguousarray(top[:, 1:])
+        for s in range(0, len(abc), step):
+            at, pair = slice(s, s + step), pairs_of_rows[s : s + step]
+            candidates = top[pair].reshape(len(pair), -1)
+            e = np.take(scores, pair[:, :1] * w + candidates) + np.take(scores, pair[:, 1:] * w + candidates)
+            col = e.argmax(axis=1)
+            pick, top_e = np.take_along_axis(candidates, col[:, None], axis=1)[:, 0], e[np.arange(len(e)), col]
             e[candidates == pick[:, None]] = -np.inf  # every copy of the pick
-            sure = (lead > e.max(axis=1)) & (lead > outside[rows].sum(axis=1))
-            answers[block[s : s + step][sure]] = pick[sure]
+            rival[at] = np.maximum.reduce([rival[at], e.max(axis=1), outside[pair].sum(axis=1),
+                                           np.minimum(best[at], top_e)])
+            new = top_e > best[at]
+            answers[at][new], best[at][new] = lo + pick[new], top_e[new]
+        lo += w
         del scores  # freed before the next block is allocated
-    return answers
+    return np.where(best - _MARGIN * (d + 4) > rival, answers, -1)
 
 
 def answer_analogy(emb: EmbeddingSet, a: str, b: str, c: str) -> str:

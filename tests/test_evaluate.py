@@ -348,12 +348,10 @@ def scanned(monkeypatch, emb, abc):
         return evaluate._answers(emb, abc)
 
 
-def count_certified(monkeypatch, every_block=True):
+def count_certified(monkeypatch):
     """From now on, each call of ``_certified`` appends how many answers it
-    proved; with ``every_block``, it also tries blocks that share no rows."""
+    proved."""
     counts, certified = [], evaluate._certified
-    if every_block:
-        monkeypatch.setattr(evaluate, "_ROWS_PER_QUESTION", np.inf)
 
     def counted(normed, abc):
         answers = certified(normed, abc)
@@ -362,6 +360,34 @@ def count_certified(monkeypatch, every_block=True):
 
     monkeypatch.setattr(evaluate, "_certified", counted)
     return counts
+
+
+def exhaustive_answers(emb, abc):
+    """Independent reference for ``_answers``: each question scored against
+    every normalized row in word order by its own product, a, b and c
+    masked, and the first maximum taken."""
+    order = sorted(range(len(emb)), key=emb.words.__getitem__)
+    normed = normalize_rows(emb.matrix)
+    by_word, position = normed[order], np.argsort(order)
+    answers = []
+    for question in abc:
+        a, b, c = normed[question]
+        scores = ((b - a + c)[None] @ by_word.T)[0]
+        scores[position[question]] = -np.inf
+        answers.append(order[scores.argmax()])
+    return np.array(answers)
+
+
+def planted_set(n, planted):
+    """``n`` words stored in reverse word order: w000, w001 and w002 are one
+    question's a, b and c, the word numbers in ``planted`` get the given rows
+    near b - a + c, and every other row points away from it."""
+    rows = np.abs(np.random.default_rng(n).normal(size=(n, 3))) * [1.0, -1.0, -1.0]
+    rows[:3] = np.eye(3)
+    for i, row in planted.items():
+        rows[i] = row
+    words = [f"w{i:03d}" for i in range(n)]
+    return EmbeddingSet("planted", words[::-1], rows[::-1]), np.array([[n - 1, n - 2, n - 3]])
 
 
 def relation_set(rng, n, dim, pairs):
@@ -406,26 +432,70 @@ class TestCertifiedAnswers:
         assert np.array_equal(evaluate._answers(emb, abc), scanned(monkeypatch, emb, abc))
         assert counts[0] < len(abc)
 
-    @pytest.mark.parametrize("block_floats, every_block", [
-        (evaluate._BLOCK_FLOATS, False), (60 * 800, False), (5 * 800, True), (5 * 800, False)])
-    def test_benchmark_shaped_questions_match_the_scan(self, monkeypatch, block_floats, every_block):
-        # 40 pairs, 1,560 questions: 40 offsets and 40 c words, in blocks of
-        # 1 to every distinct score row; a block of 5 rows holds one offset
-        # and a c row per question, more rows than questions, so it goes to
-        # the scan unless every block is tried
+    @pytest.mark.parametrize("block_floats", [evaluate._BLOCK_FLOATS, 60 * 800, 5 * 800])
+    def test_benchmark_shaped_questions_match_the_scan(self, monkeypatch, block_floats):
+        # 40 pairs, 1,560 questions: 40 offsets and 40 c words, 80 score rows
+        # against 800 words in 1, 2 or 11 vocabulary blocks (11 is the most
+        # that keep 2 _TOP_K + 3 words each)
         emb, abc = relation_set(np.random.default_rng(7), 800, 20, 40)
         monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", block_floats)
-        counts = count_certified(monkeypatch, every_block)
+        counts = count_certified(monkeypatch)
         answers = evaluate._answers(emb, abc)
-        if block_floats == 5 * 800 and not every_block:
-            assert counts == [0]
-        else:
-            assert counts[0] > len(abc) // 2
+        assert counts[0] > len(abc) // 2
         assert np.array_equal(answers, scanned(monkeypatch, emb, abc))
         questions = [(*(emb.words[i] for i in q), emb.words[q[2] + 1], SEMANTIC) for q in abc]
         scored = eval_analogy(emb, AnalogyDataset(questions))
         monkeypatch.setattr(evaluate, "_certified", lambda normed, abc: np.full(len(abc), -1))
         assert scored == eval_analogy(emb, AnalogyDataset(questions))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2 * evaluate._TOP_K + 4, 400), st.integers(1, 8), st.integers(1, 6),
+           st.floats(0, 1), st.integers(0, 2**32 - 1), st.data())
+    def test_vocabulary_blocks_match_an_exhaustive_reference(self, n, dim, shared, copied, seed, data):
+        # a share of the rows copies a few vectors, some entries one ulp off,
+        # and the words are stored out of word order
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(n, dim))
+        copies = rng.random(n) < copied
+        matrix[copies] = rng.normal(size=(shared, dim))[rng.integers(0, shared, copies.sum())]
+        nudged = copies[:, None] & (rng.random(matrix.shape) < 0.1)
+        matrix[nudged] = np.nextafter(matrix[nudged], np.inf)
+        emb = EmbeddingSet("blocks", [f"w{i:03d}" for i in rng.permutation(n)], matrix)
+        abc = rng.integers(0, n, size=(60, 3))
+        rows = len(np.unique(abc[:, 0] * n + abc[:, 1])) + len(np.unique(abc[:, 2]))
+        parts = data.draw(st.integers(1, n // (2 * evaluate._TOP_K + 3)), label="blocks")
+        with pytest.MonkeyPatch.context() as m:
+            # BLAS rounds a row of a product differently for different row
+            # counts, so the scan, like the reference, scores one question a product
+            m.setattr(evaluate, "_ANALOGY_CHUNK", 1)
+            m.setattr(evaluate, "_BLOCK_FLOATS", n * rows // parts)
+            assert np.array_equal(evaluate._answers(emb, abc), exhaustive_answers(emb, abc))
+
+    @pytest.mark.parametrize("n, planted, answer, certified", [
+        # the pick's block (words 67 to 133) comes after the runner-up's
+        (134, {50: [-1.0, 1.0, 0.9], 100: [-1.0, 1.0, 1.0]}, 100, True),
+        (134, {50: [-1.0, 1.0, np.nextafter(1.0, 2.0)], 100: [-1.0, 1.0, 1.0]}, None, False),
+        # a near-tie inside the first block still binds after the second
+        (134, {50: [-1.0, 1.0, np.nextafter(1.0, 2.0)], 60: [-1.0, 1.0, 1.0]}, None, False),
+        # an exact tie across blocks: the first word in word order wins
+        (134, {50: [-1.0, 1.0, 1.0], 100: [-1.0, 1.0, 1.0]}, 50, False),
+        # the last of blocks of 68, 68 and 67 words holds the pick
+        (203, {10: [-1.0, 1.0, 0.9], 202: [-1.0, 1.0, 1.0]}, 202, True)])
+    def test_block_merge_matches_the_reference(self, monkeypatch, n, planted, answer, certified):
+        emb, abc = planted_set(n, planted)
+        monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", 1)  # as many blocks as fit
+        counts = count_certified(monkeypatch)
+        answers = evaluate._answers(emb, abc)
+        assert np.array_equal(answers, exhaustive_answers(emb, abc))
+        assert counts == [int(certified)]
+        if answer is not None:
+            assert emb.words[answers[0]] == f"w{answer:03d}"
+
+    def test_every_question_oov_in_a_large_vocabulary(self):
+        n = 2 * evaluate._TOP_K + 4
+        emb = EmbeddingSet("rand", [f"w{i:02d}" for i in range(n)], np.random.default_rng(10).normal(size=(n, 3)))
+        results = eval_analogy(emb, AnalogyDataset([("w00", "w01", "w02", "missing", SEMANTIC)]))
+        assert results["total"] == evaluate.EvalResult(score=0.0, oov_count=1, evaluated_count=0)
 
     def test_forced_fallback_matches_the_scan(self, monkeypatch):
         # with 2 candidates a row, many bounds do not clear
