@@ -432,18 +432,23 @@ class TestCertifiedAnswers:
         assert np.array_equal(evaluate._answers(emb, abc), scanned(monkeypatch, emb, abc))
         assert counts[0] < len(abc)
 
-    @pytest.mark.parametrize("block_floats", [evaluate._BLOCK_FLOATS, 60 * 800, 5 * 800])
-    def test_benchmark_shaped_questions_match_the_scan(self, monkeypatch, block_floats):
+    @pytest.mark.parametrize("block_floats, in_word_order", [
+        (evaluate._BLOCK_FLOATS, False), (60 * 800, False), (5 * 800, True), (5 * 800, False)])
+    def test_benchmark_shaped_questions_match_the_scan(self, monkeypatch, block_floats, in_word_order):
         # 40 pairs, 1,560 questions: 40 offsets and 40 c words, 80 score rows
         # against 800 words in 1, 2 or 11 vocabulary blocks (11 is the most
-        # that keep 2 _TOP_K + 3 words each)
+        # that keep 2 _TOP_K + 3 words each), stored shuffled or in word order
         emb, abc = relation_set(np.random.default_rng(7), 800, 20, 40)
+        questions = [(*(emb.words[i] for i in q), emb.words[q[2] + 1], SEMANTIC) for q in abc]
+        if in_word_order:
+            order = np.argsort(emb.words)
+            emb = EmbeddingSet(emb.name, [emb.words[i] for i in order], emb.matrix[order])
+            abc = np.argsort(order)[abc]
         monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", block_floats)
         counts = count_certified(monkeypatch)
         answers = evaluate._answers(emb, abc)
         assert counts[0] > len(abc) // 2
         assert np.array_equal(answers, scanned(monkeypatch, emb, abc))
-        questions = [(*(emb.words[i] for i in q), emb.words[q[2] + 1], SEMANTIC) for q in abc]
         scored = eval_analogy(emb, AnalogyDataset(questions))
         monkeypatch.setattr(evaluate, "_certified", lambda normed, abc: np.full(len(abc), -1))
         assert scored == eval_analogy(emb, AnalogyDataset(questions))
