@@ -8,8 +8,9 @@ cosine, excluding a, b, and c, breaking exact ties by lexicographic
 word order; a question that leaves no other word raises ``ValueError``.
 The answer comes from a few certified candidates (after the threshold
 algorithm of Fagin, Lotem and Naor, 2003), or else from an exhaustive
-scan.  Items involving any missing word are skipped and counted as OOV
-rather than scored.
+scan, both over the rows in stored order.  Scoring a non-finite row
+raises ``ValueError``.  Items involving any missing word are skipped
+and counted as OOV rather than scored.
 """
 
 from __future__ import annotations
@@ -70,9 +71,7 @@ def load_similarity_dataset(path, name: str | None = None) -> SimilarityDataset:
                 continue
             parts = line.split()
             if len(parts) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'word1 word2 score'"
-                )
+                raise ValueError(f"{path}: line {lineno}: expected 'word1 word2 score'")
             try:
                 score = float(parts[2])
             except ValueError:
@@ -104,9 +103,7 @@ def load_analogy_dataset(path) -> AnalogyDataset:
                 category = SYNTACTIC if section.startswith("gram") else SEMANTIC
                 continue
             if category is None:
-                raise ValueError(
-                    f"{path}: line {lineno}: question before any ': section' header"
-                )
+                raise ValueError(f"{path}: line {lineno}: question before any ': section' header")
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {lineno}: expected 4 words")
@@ -141,8 +138,8 @@ def eval_similarity(emb: EmbeddingSet, dataset: SimilarityDataset) -> EvalResult
     """Score ``emb`` against a similarity dataset.
 
     Words are looked up through the set's cached ``index``.  Pairs with
-    either word missing are skipped and counted as OOV.  Only the
-    covered pairs' rows are gathered and normalized.
+    either word missing are skipped and counted as OOV.  Only covered
+    pairs' rows are gathered and normalized; a non-finite one raises.
     """
     index = emb.index
     rows, gold = [], []
@@ -158,25 +155,24 @@ def eval_similarity(emb: EmbeddingSet, dataset: SimilarityDataset) -> EvalResult
             f"dataset {dataset.name!r}: only {len(gold)} of {len(dataset.pairs)} "
             f"pairs covered; need at least 2"
         )
+    bad = _non_finite_rows(emb.matrix[rows])
+    if bad.size:
+        raise ValueError(f"non-finite value for word {emb.words[rows[bad[0]]]!r}")
     normed = normalize_rows(emb.matrix[rows])
     model = [float(np.dot(u, v)) for u, v in zip(normed[0::2], normed[1::2])]
-    rho = spearman(model, gold)
-    return EvalResult(
-        score=rho * 100.0, oov_count=oov, evaluated_count=len(model)
-    )
+    return EvalResult(score=spearman(model, gold) * 100.0, oov_count=oov, evaluated_count=len(model))
 
 
 def _answers(emb: EmbeddingSet, abc: np.ndarray) -> np.ndarray:
-    """Row of the answer to each (a, b, c) row of ``abc``.
-
-    Rows are scored in lexicographic word order, so the first maximum
-    is the first word in that order among exact ties.  Raises
-    ``ValueError`` when a question leaves no word outside a, b and c.
-    Only the questions that ``_certified`` leaves open are scanned.
-    """
-    order = np.array(sorted(range(len(emb)), key=emb.words.__getitem__), dtype=np.int64)
-    normed = normalize_rows(emb.matrix[order])
-    abc = np.argsort(order)[abc]
+    """Row of the answer to each (a, b, c) row of ``abc``, scoring rows in
+    stored order: the first word in word order wins among exact maxima, and
+    a near tie rounds as its chunk's one product rounds it.  Raises
+    ``ValueError`` for a non-finite row or a question with no word outside
+    a, b and c.  Only the questions ``_certified`` leaves open are scanned."""
+    bad = _non_finite_rows(emb.matrix)
+    if bad.size:
+        raise ValueError(f"non-finite value for word {emb.words[bad[0]]!r}")
+    normed = normalize_rows(emb.matrix)
     answers = _certified(normed, abc)
     todo = np.flatnonzero(answers < 0)
     size = max(1, min(_ANALOGY_CHUNK, _BLOCK_FLOATS // len(emb)))
@@ -187,20 +183,23 @@ def _answers(emb: EmbeddingSet, abc: np.ndarray) -> np.ndarray:
         rows = np.arange(len(chunk))
         scores[rows[:, None], chunk] = -np.inf
         best = scores.argmax(axis=1)
-        stuck = np.flatnonzero(scores[rows, best] == -np.inf)
-        del scores  # freed before the next block is allocated
-        if stuck.size:
-            query = [emb.words[order[i]] for i in chunk[stuck[0]]]
+        top = scores[rows, best]
+        if top.min() == -np.inf:
+            query = [emb.words[i] for i in chunk[top.argmin()]]
             raise ValueError(f"no candidate word outside the query words {query}")
+        scores[rows, best] = -np.inf
+        for r in np.flatnonzero(scores.max(axis=1) == top):  # an exact tie: the first word in word order wins
+            best[r] = min(np.r_[best[r], np.flatnonzero(scores[r] == top[r])], key=emb.words.__getitem__)
+        del scores  # freed before the next block is allocated
         answers[todo[start : start + len(chunk)]] = best
-    return order[answers]
+    return answers
 
 
 def _certified(normed: np.ndarray, abc: np.ndarray) -> np.ndarray:
     """The scan's answer to each (a, b, c) row of ``abc`` that a few
     candidates prove, else -1.
 
-    The vocabulary is cut into blocks of consecutive rows, of about
+    The vocabulary is cut into blocks of consecutive stored rows, of about
     ``_BLOCK_FLOATS`` scores but at least 2 ``_TOP_K`` + 3 words each.  One
     product per block scores every distinct offset t = b - a (rounded as the
     scan rounds it) and c row against each row v of the block: D = t.v with
@@ -217,12 +216,12 @@ def _certified(normed: np.ndarray, abc: np.ndarray) -> np.ndarray:
     eps ~ (6d + 6) u.  A best leading its rival by more than 2 eps plus the
     comparison's own rounding, 4u, has the strictly largest scan score:
     ``_MARGIN * (d + 4)`` = (16d + 64) u > (12d + 16) u, with room for
-    norms off 1 by a few d u.  The rest, and all of a set of non-finite rows
-    or at most 2 ``_TOP_K`` + 3 words, go to the scan.
+    norms off 1 by a few d u; it is no tie, so blocks need no word order.
+    The rest, and sets of at most 2 ``_TOP_K`` + 3 words, are scanned.
     """
     n, d = normed.shape
     answers = np.full(len(abc), -1, dtype=np.int64)
-    if n <= 2 * _TOP_K + 3 or _non_finite_rows(normed).size:
+    if n <= 2 * _TOP_K + 3:
         return answers
     pairs, offset = np.unique(abc[:, 0] * n + abc[:, 1], return_inverse=True)
     c_words, c_row = np.unique(abc[:, 2], return_inverse=True)

@@ -161,6 +161,19 @@ class TestEvalSimilarity:
         )
         assert eval_similarity(emb, ds).score == eval_similarity(scaled, ds).score
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scored_row_is_refused(self, bad):
+        # w042 holds the one bad entry of a 100-word set and is scored in 1 of 20 pairs
+        rng = np.random.default_rng(6)
+        words = [f"w{i:03d}" for i in range(100)]
+        matrix = rng.normal(size=(100, 10))
+        matrix[42, 3] = bad
+        emb = EmbeddingSet("bad", words, matrix)
+        pairs = [(words[i], words[j], float(k)) for k, (i, j) in enumerate(rng.integers(0, 42, size=(19, 2)))]
+        with pytest.raises(ValueError, match=r"^non-finite value for word 'w042'$"):
+            eval_similarity(emb, SimilarityDataset("bad", [*pairs, ("w007", "w042", 5.0)]))
+        assert eval_similarity(emb, SimilarityDataset("good", pairs)).evaluated_count == 19
+
     def test_memory_scales_with_the_pairs_not_the_set(self):
         # 50k x 100 is 40 MB; normalizing every row would copy all of it
         rng = np.random.default_rng(2)
@@ -317,17 +330,34 @@ class TestEvalAnalogy:
         results = eval_analogy(emb, AnalogyDataset(questions))
         assert results[SEMANTIC].score == 100.0
 
-    def test_score_block_shrinks_with_the_vocabulary(self):
-        # 300 questions against 100k words: one 256-question block of
-        # scores alone would take 205 MB
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_is_refused(self, bad):
+        # every row is a candidate answer, so w099's bad entry is refused
+        # though no question names w099
+        rng = np.random.default_rng(6)
+        words = [f"w{i:03d}" for i in range(100)]
+        matrix = rng.normal(size=(100, 10))
+        matrix[99, 3] = bad
+        emb = EmbeddingSet("bad", words, matrix)
+        questions = [(*(words[i] for i in q), SEMANTIC) for q in rng.integers(0, 99, size=(30, 4))]
+        with pytest.raises(ValueError, match=r"^non-finite value for word 'w099'$"):
+            eval_analogy(emb, AnalogyDataset(questions))
+        with pytest.raises(ValueError, match=r"^non-finite value for word 'w099'$"):
+            answer_analogy(emb, "w000", "w001", "w002")
+
+    def traced_offset_analogy(self, n, dim):
+        """Score, traced peak bytes and matrix bytes of ``eval_analogy`` on
+        ``n`` words stored out of word order, whose last 300 rows are the
+        exact answers to 300 questions over the others."""
         rng = np.random.default_rng(5)
-        n, n_questions = 100_000, 300
-        matrix = rng.normal(size=(n, 8))
+        n_questions = 300
+        matrix = rng.normal(size=(n, dim))
         abc = rng.choice(n - n_questions, size=(n_questions, 3))
         normed = normalize_rows(matrix)
         answers = np.arange(n - n_questions, n)
         matrix[answers] = normed[abc[:, 1]] - normed[abc[:, 0]] + normed[abc[:, 2]]
-        words = [f"w{i:06d}" for i in range(n)]
+        del normed
+        words = [f"w{i:06d}" for i in rng.permutation(n)]
         emb = EmbeddingSet("large", words, matrix)
         questions = [(*(words[i] for i in q), words[d], SEMANTIC) for q, d in zip(abc, answers)]
         emb.index  # noqa: B018 -- build the cached word table before measuring
@@ -337,8 +367,22 @@ class TestEvalAnalogy:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert results[SEMANTIC].score == 100.0
+        return results[SEMANTIC].score, peak, matrix.nbytes
+
+    def test_score_block_shrinks_with_the_vocabulary(self):
+        # 300 questions against 100k words: one 256-question block of
+        # scores alone would take 205 MB
+        score, peak, _ = self.traced_offset_analogy(100_000, 8)
+        assert score == 100.0
         assert peak < 64e6
+
+    def test_no_copy_of_the_matrix_beside_its_normalized_rows(self, monkeypatch):
+        # with small score blocks the normalized rows are most of the peak;
+        # a second, gathered copy of the matrix would pass twice its bytes
+        monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", 2**16)
+        score, peak, nbytes = self.traced_offset_analogy(40_000, 50)
+        assert score == 100.0
+        assert peak < 1.6 * nbytes
 
 
 def scanned(monkeypatch, emb, abc):
@@ -364,30 +408,28 @@ def count_certified(monkeypatch):
 
 def exhaustive_answers(emb, abc):
     """Independent reference for ``_answers``: each question scored against
-    every normalized row in word order by its own product, a, b and c
-    masked, and the first maximum taken."""
-    order = sorted(range(len(emb)), key=emb.words.__getitem__)
+    every normalized row, in stored order, by its own product, a, b and c
+    masked, and the first word in word order among the exact maxima."""
     normed = normalize_rows(emb.matrix)
-    by_word, position = normed[order], np.argsort(order)
     answers = []
     for question in abc:
         a, b, c = normed[question]
-        scores = ((b - a + c)[None] @ by_word.T)[0]
-        scores[position[question]] = -np.inf
-        answers.append(order[scores.argmax()])
+        scores = ((b - a + c)[None] @ normed.T)[0]
+        scores[question] = -np.inf
+        answers.append(min(np.flatnonzero(scores == scores.max()), key=emb.words.__getitem__))
     return np.array(answers)
 
 
-def planted_set(n, planted):
-    """``n`` words stored in reverse word order: w000, w001 and w002 are one
-    question's a, b and c, the word numbers in ``planted`` get the given rows
-    near b - a + c, and every other row points away from it."""
+def planted_set(n, planted, in_word_order):
+    """``n`` words stored in word order or reversed: w000, w001 and w002 are
+    one question's a, b and c, the word numbers in ``planted`` get the given
+    rows near b - a + c, and every other row points away from it."""
     rows = np.abs(np.random.default_rng(n).normal(size=(n, 3))) * [1.0, -1.0, -1.0]
     rows[:3] = np.eye(3)
     for i, row in planted.items():
         rows[i] = row
-    words = [f"w{i:03d}" for i in range(n)]
-    return EmbeddingSet("planted", words[::-1], rows[::-1]), np.array([[n - 1, n - 2, n - 3]])
+    order = np.arange(n) if in_word_order else np.arange(n)[::-1]
+    return EmbeddingSet("planted", [f"w{i:03d}" for i in order], rows[order]), np.argsort(order)[None, :3]
 
 
 def relation_set(rng, n, dim, pairs):
@@ -471,30 +513,41 @@ class TestCertifiedAnswers:
         parts = data.draw(st.integers(1, n // (2 * evaluate._TOP_K + 3)), label="blocks")
         with pytest.MonkeyPatch.context() as m:
             # BLAS rounds a row of a product differently for different row
-            # counts, so the scan, like the reference, scores one question a product
+            # counts, and a column differently at another position, so the
+            # scan, like the reference, scores one question a product against
+            # the rows in stored order
             m.setattr(evaluate, "_ANALOGY_CHUNK", 1)
             m.setattr(evaluate, "_BLOCK_FLOATS", n * rows // parts)
             assert np.array_equal(evaluate._answers(emb, abc), exhaustive_answers(emb, abc))
 
+    # Blocks are runs of stored rows: 134 words make blocks of rows 0-66 and
+    # 67-133, and 203 words blocks of 68, 68 and 67 rows.  Each case runs with
+    # the words stored in word order and reversed, so word i is at row i or
+    # at row n - 1 - i.
     @pytest.mark.parametrize("n, planted, answer, certified", [
-        # the pick's block (words 67 to 133) comes after the runner-up's
+        # the pick (w100) and the runner-up (w050) are in different blocks:
+        # the pick's is the second in word order and the first reversed
         (134, {50: [-1.0, 1.0, 0.9], 100: [-1.0, 1.0, 1.0]}, 100, True),
         (134, {50: [-1.0, 1.0, np.nextafter(1.0, 2.0)], 100: [-1.0, 1.0, 1.0]}, None, False),
-        # a near-tie inside the first block still binds after the second
+        # a near-tie inside one block (the first in word order, the second
+        # reversed) still binds after the other block
         (134, {50: [-1.0, 1.0, np.nextafter(1.0, 2.0)], 60: [-1.0, 1.0, 1.0]}, None, False),
-        # an exact tie across blocks: the first word in word order wins
+        # an exact tie across blocks: the first word in word order wins,
+        # also when it is stored second
         (134, {50: [-1.0, 1.0, 1.0], 100: [-1.0, 1.0, 1.0]}, 50, False),
-        # the last of blocks of 68, 68 and 67 words holds the pick
+        # the pick is in the narrow last block in word order and in the
+        # first reversed, the runner-up (w010) in the other end block
         (203, {10: [-1.0, 1.0, 0.9], 202: [-1.0, 1.0, 1.0]}, 202, True)])
     def test_block_merge_matches_the_reference(self, monkeypatch, n, planted, answer, certified):
-        emb, abc = planted_set(n, planted)
         monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", 1)  # as many blocks as fit
-        counts = count_certified(monkeypatch)
-        answers = evaluate._answers(emb, abc)
-        assert np.array_equal(answers, exhaustive_answers(emb, abc))
-        assert counts == [int(certified)]
-        if answer is not None:
-            assert emb.words[answers[0]] == f"w{answer:03d}"
+        for in_word_order in (True, False):
+            emb, abc = planted_set(n, planted, in_word_order)
+            counts = count_certified(monkeypatch)
+            answers = evaluate._answers(emb, abc)
+            assert np.array_equal(answers, exhaustive_answers(emb, abc))
+            assert counts == [int(certified)]
+            if answer is not None:
+                assert emb.words[answers[0]] == f"w{answer:03d}"
 
     def test_every_question_oov_in_a_large_vocabulary(self):
         n = 2 * evaluate._TOP_K + 4
