@@ -41,9 +41,7 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
 
 def normalize_columns(m: np.ndarray) -> np.ndarray:
     """Scale each column to unit L2 norm; all-zero columns are left unchanged."""
-    m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=0, keepdims=True)
-    return m / np.where(norms == 0.0, 1.0, norms)
+    return normalize_rows(np.asarray(m).T).T
 
 
 def _noise(largest: float, rows: int) -> float:

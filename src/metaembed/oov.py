@@ -51,7 +51,6 @@ class ProjectionMap:
     source_set: str
     target_set: str
     matrix: np.ndarray
-    train_loss: float
 
 
 def projection_loss_grad(
@@ -78,8 +77,7 @@ def train_projection(
     Only ``config.l2_weight`` is read; with ``l2 = 0`` a rank-deficient
     source gets the minimum-norm map.  ``X`` is first scaled by an exact
     power of two (``l2`` by its square), so its Gram matrix neither
-    underflows nor overflows.  ``train_loss`` is the per-word squared
-    error at the solution.
+    underflows nor overflows.
     """
     if config is None:
         config = TrainConfig.projection_defaults()
@@ -97,15 +95,7 @@ def train_projection(
     with np.errstate(over="ignore"):
         l2 = np.ldexp(config.l2_weight, -2 * exponent)  # inf: the ridge limit M = 0
     m = min_norm_solve(x.T @ x, y.T @ x, len(shared), l2)
-    # Huge rows may overflow train_loss to inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = x @ m.T - y
-        loss = float(np.sum(residual * residual))
-    m = np.ldexp(m, -exponent)
-    return ProjectionMap(
-        source_set=source.name, target_set=target.name, matrix=m,
-        train_loss=loss / len(shared),
-    )
+    return ProjectionMap(source.name, target.name, np.ldexp(m, -exponent))
 
 
 def fill_oov(

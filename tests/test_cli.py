@@ -335,7 +335,7 @@ class TestExtend:
         assert capsys.readouterr().err == expected
 
     def test_huge_projected_sets_print_no_warning(self, tmp_path, capsys):
-        # The fit's train_loss overflows on such rows; no command reads it.
+        # Unscaled, these rows' Gram matrix overflows; the fit scales them first.
         rng = np.random.default_rng(4)
         words = [f"w{i:02d}" for i in range(80)]
         paths = {}

@@ -335,6 +335,20 @@ class TestCache:
         assert sidecars(path) == sorted(sidecars(other) + saved)
         assert len(sidecars(other)) == 2
 
+    def test_undeletable_sidecars_do_not_stop_a_save(self, path, monkeypatch):
+        def fail(p):
+            raise PermissionError(13, "Permission denied", str(p))
+
+        load_embedding_set(path)  # writes the sidecars of the bytes the save replaces
+        monkeypatch.setattr(os, "remove", fail)
+        save_embedding_set(EmbeddingSet("s", ["a"], [[1.0]]), path)
+        assert path.read_bytes() == b"a 1\n"
+        # the old bytes' sidecars stay beside the new ones, keyed by their digest
+        assert len(sidecars(path)) == 4
+        monkeypatch.undo()
+        refuse_parsing(monkeypatch)
+        np.testing.assert_array_equal(load_embedding_set(path).matrix, [[1.0]])
+
     def test_sidecars_of_an_earlier_version_are_not_read(self, tmp_path):
         # version 1 kept a leading byte-order mark in the first word
         path = write(tmp_path, "\ufeffthe 0.1 0.2\ncat 0.3 0.4\n")
@@ -597,6 +611,15 @@ class TestSaveSidecars:
             raise PermissionError(13, "Permission denied", str(dst))
 
         monkeypatch.setattr(os, "replace", fail)
+        save_embedding_set(EmbeddingSet("s", ["a", "b"], [[0.5], [2.0]]), tmp_path / "v.txt")
+        assert (tmp_path / "v.txt").read_bytes() == b"a 0.5\nb 2\n"
+        assert sidecars(tmp_path / "v.txt") == []  # no temp file is left either
+
+    def test_failed_temp_header_still_saves(self, tmp_path, monkeypatch):
+        def fail(f, header):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np.lib.format, "write_array_header_1_0", fail)
         save_embedding_set(EmbeddingSet("s", ["a", "b"], [[0.5], [2.0]]), tmp_path / "v.txt")
         assert (tmp_path / "v.txt").read_bytes() == b"a 0.5\nb 2\n"
         assert sidecars(tmp_path / "v.txt") == []  # no temp file is left either
