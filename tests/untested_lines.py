@@ -3,14 +3,16 @@
     PYTHONPATH=src python tests/untested_lines.py [pytest arguments]
 
 Every line of ``src/metaembed`` that compiles to bytecode must run in at
-least one test, except those in ``ALLOWED``.  Uses the standard library
-only (``sys.settrace``), so no coverage package is needed; tests that
-run the CLI in a child process do not count.  Exits 1 when the suite
-fails, a line is reached by no test, or an allowed line is reached.
+least one test, except the body of a module-level
+``if __name__ == "__main__":``.  Uses the standard library only
+(``sys.settrace``), so no coverage package is needed; tests that run the
+CLI in a child process do not count.  Exits 1 when the suite fails or a
+line is reached by no test.
 """
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
 
@@ -18,24 +20,19 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "metaembed"
 
-# (file, line) pairs no test needs to reach.
-ALLOWED = {
-    # minibatches' batch_size check and loss_plateaued's zero-loss exit:
-    # AdaGrad helpers that no fit calls any more (ROADMAP item 7).
-    ("optimizer.py", 124),
-    ("optimizer.py", 136),
-    # the body of `if __name__ == "__main__":`
-    ("cli.py", 430),
-}
-
 
 def executable_lines(path: Path) -> set[int]:
-    """The lines that some bytecode of ``path`` is attributed to."""
-    lines, codes = set(), [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    """The lines that some bytecode of ``path`` is attributed to, less the
+    body of a module-level ``if __name__ == "__main__":``."""
+    source = path.read_text(encoding="utf-8")
+    lines, codes = set(), [compile(source, str(path), "exec")]
     while codes:
         code = codes.pop()
         lines.update(line for _, _, line in code.co_lines() if line)  # 0: a module's prelude
         codes.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            lines -= set(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
     return lines
 
 
@@ -63,14 +60,11 @@ def main(args: list[str]) -> int:
 
     expected = {(p.name, line) for p in SOURCE.glob("*.py")
                 for line in executable_lines(p)}
-    untested = sorted(expected - reached - ALLOWED)
-    stale = sorted(ALLOWED & reached)
+    untested = sorted(expected - reached)
     for name, line in untested:
         print(f"src/metaembed/{name}:{line}: reached by no test")
-    for name, line in stale:
-        print(f"src/metaembed/{name}:{line}: allowed to be untested, but reached")
     print(f"{len(reached & expected)} of {len(expected)} source lines reached")
-    return int(bool(status or untested or stale))
+    return int(bool(status or untested))
 
 
 if __name__ == "__main__":
