@@ -26,7 +26,6 @@ from pathlib import Path
 
 from . import ensemble, oov
 from .evaluate import (
-    EvalResult,
     eval_analogy,
     eval_similarity,
     load_analogy_dataset,
@@ -263,31 +262,28 @@ def cmd_extend(args) -> int:
     return 0
 
 
-def _write_scores(scored: list[tuple[str, str, EvalResult]], out: str | None) -> int:
-    """Write (embedding, dataset, result) triples as the eval CSV; returns exit code 0."""
-    rows = [[e, d, format(r.score, ".4f"), r.oov_count, r.evaluated_count] for e, d, r in scored]
-    _write_csv(rows, ["embedding", "dataset", "score", "oov_count", "evaluated"], out)
+def _write_scores(args, score) -> int:
+    """Load each ``--emb`` file in turn and write the eval CSV of the
+    (dataset, result) pairs that ``score(emb)`` gives; returns exit code 0."""
+    rows = []
+    for emb_path in args.emb:
+        emb = load_embedding_set(emb_path)
+        rows += [[emb.name, d, format(r.score, ".4f"), r.oov_count, r.evaluated_count]
+                 for d, r in score(emb)]
+    _write_csv(rows, ["embedding", "dataset", "score", "oov_count", "evaluated"], args.out)
     return 0
 
 
 def cmd_eval_sim(args) -> int:
     datasets = [load_similarity_dataset(resolve_dataset(p)) for p in args.datasets]
-    scored = []
-    for emb_path in args.emb:
-        emb = load_embedding_set(emb_path)
-        scored += [(emb.name, ds.name, eval_similarity(emb, ds)) for ds in datasets]
-    return _write_scores(scored, args.out)
+    return _write_scores(args, lambda emb: [(ds.name, eval_similarity(emb, ds)) for ds in datasets])
 
 
 def cmd_eval_analogy(args) -> int:
     ds = load_analogy_dataset(resolve_dataset(args.dataset))
     ds_name = Path(args.dataset).stem
-    scored = []
-    for emb_path in args.emb:
-        emb = load_embedding_set(emb_path)
-        # semantic, syntactic, then total
-        scored += [(emb.name, f"{ds_name}:{c}", r) for c, r in eval_analogy(emb, ds).items()]
-    return _write_scores(scored, args.out)
+    # semantic, syntactic, then total
+    return _write_scores(args, lambda emb: [(f"{ds_name}:{c}", r) for c, r in eval_analogy(emb, ds).items()])
 
 
 def cmd_sweep(args) -> int:

@@ -41,7 +41,6 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +140,8 @@ def load_embedding_set(path, name: str | None = None) -> EmbeddingSet:
     Words keep file order; duplicate words after the first occurrence
     are parsed, then dropped and reported through a warning (on every
     load).  Malformed lines raise ``ValueError`` naming the line number.
-    The set keeps each record's byte span, for ``save_embedding_set``.
+    The set keeps each record's byte span, for ``save_embedding_set``, and
+    once a parse has written the sidecars it maps their .npy, as later loads do.
     """
     path = Path(path)
     digest = _digest(path)
@@ -151,6 +151,8 @@ def load_embedding_set(path, name: str | None = None) -> EmbeddingSet:
     # stored, or later copied from, under the digest of its earlier bytes
     if cached is None and _digest(path) == digest:
         _write_cache(path, digest, words, matrix, spans, duplicates)
+        published = _read_cache(*_sidecars(path, digest))
+        matrix = matrix if published is None else published[1]  # the parsed one is freed
     elif cached is None:
         spans = None
     if duplicates:
@@ -284,10 +286,7 @@ def _parse(path: Path):
         newline = None if f.newlines in (None, "\n") else ""
     offset = len(codecs.BOM_UTF8) if first.startswith("\ufeff") else 0
     dim = _header_dim(first[bool(offset):], records)
-    header = dim > 0
-    matrix = np.empty((records, dim)) if header else None
-    if not header:
-        dim, records = None, records + 1  # the first line may be a record
+    header, matrix = dim > 0, None
 
     words: list[str] = []
     seen: set[str] = set()
@@ -302,9 +301,9 @@ def _parse(path: Path):
                 continue
             if len(parts) < 2:
                 raise ValueError(f"{path}: line {lineno}: expected a word and {dim or 'at least 1'} values")
-            if matrix is None:
-                dim = len(parts) - 1
-                matrix = np.empty((records, dim))
+            if matrix is None:  # without a header, the first line may be a record
+                dim = dim or len(parts) - 1
+                matrix = np.empty((records + (not header), dim))
             if len(parts) - 1 != dim:
                 raise ValueError(
                     f"{path}: line {lineno}: expected {dim} values, found {len(parts) - 1}"
@@ -373,40 +372,38 @@ def save_embedding_set(emb: EmbeddingSet, path, source: EmbeddingSet | None = No
     # without a source, a temp .npy for what each written value reads back as
     npy = _npy_temp(path, emb.matrix.shape) if source is None else None
 
-    def blocks():
-        for lo in range(0, len(emb), step):
-            block, copy = emb.matrix[lo:lo + step], rows[lo:lo + step]
-            lines = []
-            if data is not None:
-                known = np.flatnonzero(copy >= 0)
-                same = block[known].view(np.int64) == source.matrix[copy[known]].view(np.int64)
-                copy[known[~same.all(axis=1)]] = -1
-                lines = [data[a:b] for a, b in source._text[2][copy[copy >= 0]].tolist()]
-                if not _single_spaced(b"".join(lines), len(lines), emb.dim):
-                    lines = [line if _single_spaced(line, 1, emb.dim)
-                             else (" ".join(line.decode("utf-8").split()) + "\n").encode("utf-8")
-                             for line in lines]
-            back = None if npy is None else np.empty(block.shape)
-            lines, values = iter(lines), iter(_formatted(block[copy < 0], back))
-            yield [next(lines) if row >= 0 else b"%s %s\n" % (word.encode("utf-8"), next(values))
-                   for word, row in zip(emb.words[lo:lo + step], copy.tolist())], back
+    def records(lo, hi):
+        block, copy = emb.matrix[lo:hi], rows[lo:hi]
+        lines = []
+        if data is not None:
+            known = np.flatnonzero(copy >= 0)
+            same = block[known].view(np.int64) == source.matrix[copy[known]].view(np.int64)
+            copy[known[~same.all(axis=1)]] = -1
+            lines = [data[a:b] for a, b in source._text[2][copy[copy >= 0]].tolist()]
+            if not _single_spaced(b"".join(lines), len(lines), emb.dim):
+                lines = [line if _single_spaced(line, 1, emb.dim)
+                         else (" ".join(line.decode("utf-8").split()) + "\n").encode("utf-8")
+                         for line in lines]
+        back = None if npy is None else np.empty(block.shape)
+        lines, values = iter(lines), iter(_formatted(block[copy < 0], back))
+        return [next(lines) if row >= 0 else b"%s %s\n" % (word.encode("utf-8"), next(values))
+                for word, row in zip(emb.words[lo:hi], copy.tolist())], back
 
     try:
         with nullcontext() if data is None else data:
-            pending = blocks()
-            first = next(pending)
-            if _header_dim(first[0][0].decode("utf-8"), len(emb) - 1):
+            if _header_dim(records(0, 1)[0][0].decode("utf-8"), len(emb) - 1):
                 raise ValueError(f"{path}: word {emb.words[0]!r} would reload as the count of a "
                                  "'<count> <dim>' header")
             _remove_sidecars(path)  # they describe the bytes being replaced
             digest, sizes = hashlib.sha256(), array("q")
             with open(path, "wb") as f, nullcontext() if npy is None else open(npy, "ab") as g:
-                for block, back in chain([first], pending):
-                    text = b"".join(block)
+                for lo in range(0, len(emb), step):
+                    lines, back = records(lo, lo + step)
+                    text = b"".join(lines)
                     f.write(text)
                     if npy is not None:  # the temp is on the file's own disk: its errors are the save's
                         digest.update(text)
-                        sizes.extend(map(len, block))
+                        sizes.extend(map(len, lines))
                         g.write(back)
         if npy is not None:
             ends = np.cumsum(sizes)

@@ -55,6 +55,35 @@ def latent_linked_sets(
     return z, words, sets, matrices, hidden
 
 
+def quality_world(seed, n=6000, latent_dim=60, dims=(50, 100, 200, 300, 300)):
+    """Five embedding sets of differing quality, seen through one latent space.
+
+    Each of ``n`` words has a latent vector with a 1/sqrt(k) spectrum over
+    ``latent_dim`` directions.  Set i sees the words along 20-60 random
+    directions, mixes what it sees into ``dims[i]`` dimensions, adds
+    Gaussian noise of sigma_i (0.15-0.9) times half its signal's RMS entry,
+    and keeps a share of 0.3-0.9 of the words; common words are kept by
+    more sets.  The gold similarity of two words is the cosine of their
+    latent vectors.  Returns (words, latent, sets, truths, noise), where
+    ``truths[i]`` holds set i's vector of every word, kept or not, and
+    ``noise`` the sigmas.
+    """
+    rng = np.random.default_rng(seed)
+    latent = rng.standard_normal((n, latent_dim)) / np.sqrt(np.arange(1, latent_dim + 1))
+    words = [f"w{i:04d}" for i in range(n)]
+    noise = rng.uniform(0.15, 0.9, len(dims))
+    common = rng.standard_normal(n)
+    sets, truths = [], []
+    for i, (d, sigma) in enumerate(zip(dims, noise)):
+        seen = rng.integers(20, latent_dim + 1)
+        signal = latent @ rng.standard_normal((latent_dim, seen)) @ rng.standard_normal((seen, d))
+        truths.append(signal + sigma / 2 * np.sqrt(np.mean(signal**2)) * rng.standard_normal((n, d)))
+        rank = common + rng.standard_normal(n)
+        keep = np.flatnonzero(rank < np.quantile(rank, rng.uniform(0.3, 0.9)))
+        sets.append(EmbeddingSet(f"s{i}", [words[j] for j in keep], truths[i][keep]))
+    return words, latent, sets, truths, noise
+
+
 def regression_r2(features, targets):
     """R^2 of an affine least-squares fit from features to targets."""
     design = np.hstack([features, np.ones((len(features), 1))])

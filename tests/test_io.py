@@ -75,8 +75,11 @@ class TestLoad:
             loads = [load_embedding_set(path)]
             refuse_parsing(monkeypatch)
             loads.append(load_embedding_set(path))
+        # each kept row is float() of its first occurrence's tokens, bit for bit
+        values = np.array([[float(t) for t in tokens[1:]] for _, (_, tokens) in kept])
         for emb in loads:
             assert emb.words == [w for w, _ in kept]
+            assert emb.matrix.shape == values.shape and emb.matrix.tobytes() == values.tobytes()
             spans = emb._text[2]
             assert (spans[:, 0] < spans[:, 1]).all() and (spans[1:, 0] >= spans[:-1, 1]).all()
             for (start, end), (_, (line, tokens)) in zip(spans.tolist(), kept):
@@ -182,6 +185,27 @@ class TestLoad:
         assert peak < 2 * loaded.matrix.nbytes
 
 
+    def test_cold_load_keeps_no_parsed_matrix(self, tmp_path):
+        # once the sidecars are written, the set maps the .npy: the parsed
+        # matrix is freed, so loading many sets does not hold them all
+        rng = np.random.default_rng(3)
+        emb = EmbeddingSet(
+            "mem", [f"w{i}" for i in range(2000)], rng.uniform(-1.0, 1.0, (2000, 100))
+        )
+        path = tmp_path / "mem.txt"
+        save_embedding_set(emb, path)
+        for name in sidecars(path):  # so that the load parses and writes them
+            (tmp_path / name).unlink()
+        tracemalloc.start()
+        try:
+            cold = load_embedding_set(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sidecars(path)) == 2
+        assert held < cold.matrix.nbytes / 2
+
+
 def sidecars(path):
     """The names of the hidden cache files beside ``path``."""
     return sorted(p.name for p in path.parent.iterdir() if p.name.startswith(f".{path.name}."))
@@ -261,6 +285,7 @@ class TestCache:
     @pytest.mark.parametrize("damage", ["truncate npy", "empty npy", "drop a word", "count"])
     def test_damaged_sidecar_falls_back_to_parsing(self, path, monkeypatch, damage):
         cold = load_embedding_set(path)
+        expected = cold.matrix.copy()  # cold maps the .npy that is damaged below
         npy, vocab = (path.parent / name for name in sidecars(path))
         if damage == "truncate npy":
             npy.write_bytes(npy.read_bytes()[:-8])
@@ -275,10 +300,10 @@ class TestCache:
         again = load_embedding_set(path)
         assert parsed == [path]
         assert again.words == cold.words
-        assert np.array_equal(again.matrix, cold.matrix)
+        assert np.array_equal(again.matrix, expected)
         # the reparse rewrites whole sidecars
         refuse_parsing(monkeypatch)
-        assert np.array_equal(load_embedding_set(path).matrix, cold.matrix)
+        assert np.array_equal(load_embedding_set(path).matrix, expected)
 
     def test_unwritable_directory_still_loads(self, path, monkeypatch):
         # root ignores chmod, so the rename that would publish a sidecar fails instead
