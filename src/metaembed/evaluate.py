@@ -182,16 +182,13 @@ def _answers(emb: EmbeddingSet, abc: np.ndarray) -> np.ndarray:
         scores = (normed[ib] - normed[ia] + normed[ic]) @ normed.T
         rows = np.arange(len(chunk))
         scores[rows[:, None], chunk] = -np.inf
-        best = scores.argmax(axis=1)
-        top = scores[rows, best]
+        top = scores.max(axis=1)
         if top.min() == -np.inf:
             query = [emb.words[i] for i in chunk[top.argmin()]]
             raise ValueError(f"no candidate word outside the query words {query}")
-        scores[rows, best] = -np.inf
-        for r in np.flatnonzero(scores.max(axis=1) == top):  # an exact tie: the first word in word order wins
-            best[r] = min(np.r_[best[r], np.flatnonzero(scores[r] == top[r])], key=emb.words.__getitem__)
+        answers[todo[start : start + len(chunk)]] = [  # the first word in word order among the maxima
+            min(np.flatnonzero(row == t), key=emb.words.__getitem__) for row, t in zip(scores, top)]
         del scores  # freed before the next block is allocated
-        answers[todo[start : start + len(chunk)]] = best
     return answers
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -652,6 +653,7 @@ SWEEP = ["sweep", "--sets", "a=a.txt", "b=b.txt", "--method", "svd", "--param", 
     (["build", "--config", "config.json", "--out", "out"], "config.json: config must be a JSON object"),
     (["build", "--method", "svd", "--out", "out"], "no embedding sets given (use --sets or a config file)"),
     (["build", "--sets", "a=a.txt", "b=b.txt", "--out", "out"], "no method given (use --method or a config file)"),
+    (["build", "--sets", "a=a.txt", "--method", "svd", "--out", "out"], "build needs at least 2 sets, got 1"),
     ([*SWEEP, "1,x"], "bad --values '1,x': expected comma-separated numbers"),
     ([*SWEEP, ","], "empty --values grid"),
 ])
@@ -1065,3 +1067,55 @@ class TestLoadCache:
                      str(dev), "--out", str(tmp_path / "warm.csv")]) == 0
         assert parsed == []
         assert (tmp_path / "warm.csv").read_bytes() == cold["sim.csv"]
+
+
+class TestPeakMemory:
+    """Each command's tracemalloc peak stays under a line through two sizes.
+
+    Five sets of dims 10/20/40/60/60 each keep 80% of a pool of 400 or 1,600
+    words.  The unit is the command's largest unavoidable float64 array:
+    shared x sum(d) for ``svd``, union x sum(d) for the others.  Fixed costs
+    dominate at these sizes, so the bound is the line through the two peaks
+    measured in a fresh process (unit, peak in bytes), raised by 25%."""
+
+    DIMS = (10, 20, 40, 60, 60)
+
+    def sets(self, root, pool):
+        """The --sets arguments of five saved sets, and their shared and
+        union vocabulary sizes; saving writes the sidecars, which the loads
+        map, as the benchmark's timed runs do."""
+        rng = np.random.default_rng(0)
+        words = [f"w{i:05d}" for i in range(pool)]
+        z = rng.standard_normal((pool, 30))
+        specs, kept = [], []
+        for i, d in enumerate(self.DIMS):
+            keep = np.sort(rng.choice(pool, int(0.8 * pool), replace=False))
+            matrix = z[keep] @ rng.standard_normal((30, d)) + 0.1 * rng.standard_normal((len(keep), d))
+            save_embedding_set(EmbeddingSet(f"s{i}", [words[j] for j in keep], matrix), root / f"s{i}.txt")
+            specs.append(f"s{i}={root / f's{i}.txt'}")
+            kept.append(set(keep.tolist()))
+        return specs, len(set.intersection(*kept)), len(set.union(*kept))
+
+    @pytest.mark.parametrize("argv, unit, measured", [
+        (["build", "--method", "svd", "--dim", "10"], "shared",
+         ((191_520, 942_603), (825_360, 2_898_279))),
+        (["build", "--method", "latent_union", "--dim", "10"], "union",
+         ((608_000, 1_930_410), (2_430_480, 7_461_889))),
+        (["extend", "--strategy", "projected"], "union",
+         ((608_000, 1_851_731), (2_430_480, 4_813_591))),
+    ], ids=["svd", "latent_union", "extend"])
+    def test_peak_is_bounded_at_two_sizes(self, tmp_path, argv, unit, measured):
+        (u1, p1), (u2, p2) = measured
+        slope = (p2 - p1) / (u2 - u1)
+        for pool in (400, 1600):
+            root = tmp_path / str(pool)
+            root.mkdir()
+            specs, shared, union = self.sets(root, pool)
+            size = (shared if unit == "shared" else union) * sum(self.DIMS) * 8
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--sets", *specs, "--out", str(root / "out")]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * (slope * size + p1 - slope * u1), (pool, size)

@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 
@@ -590,6 +591,23 @@ class TestLoaders:
         assert load_analogy_dataset(questions).questions == [
             ("boy", "girl", "brother", "sister", SEMANTIC)
         ]
+
+    def test_loaders_read_str_paths(self, tmp_path):
+        sim, questions = tmp_path / "sim.txt", tmp_path / "questions.txt"
+        sim.write_text("cat dog 8.5\n", encoding="utf-8")
+        questions.write_text(": family\nboy girl brother sister\n", encoding="utf-8")
+        assert load_similarity_dataset(str(sim)).name == "sim"
+        assert load_analogy_dataset(str(questions)).questions == [
+            ("boy", "girl", "brother", "sister", SEMANTIC)
+        ]
+
+    @pytest.mark.parametrize("load", [load_similarity_dataset, load_analogy_dataset])
+    def test_loader_errors_name_a_path_like_by_its_path(self, tmp_path, load):
+        (tmp_path / "data.txt").write_text("\n", encoding="utf-8")
+        with os.scandir(tmp_path) as entries:
+            entry, = entries  # an os.PathLike that is neither str nor Path
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'data.txt'))}: "):
+            load(entry)
 
     def test_similarity_loader_bad_line(self, tmp_path):
         path = tmp_path / "sim.txt"

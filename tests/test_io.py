@@ -111,6 +111,13 @@ class TestLoad:
         with pytest.raises(ValueError, match="line 3"):
             load_embedding_set(path)
 
+    @pytest.mark.parametrize("record, found", [("b 5", 1), ("b 5 6 7 8", 4)])
+    def test_record_of_another_length_is_refused(self, tmp_path, record, found):
+        # numpy would broadcast a one-value record across the row
+        path = write(tmp_path, f"a 1 2 3\n{record}\nc 1 2 3\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 2: expected 3 values, found {found}')}$"):
+            load_embedding_set(path)
+
     def test_non_numeric_value_reports_line_number(self, tmp_path):
         path = write(tmp_path, "a 1 2\nb x 4\n")
         with pytest.raises(ValueError, match="line 2"):
@@ -360,6 +367,11 @@ class TestCache:
         assert sidecars(path) == sorted(sidecars(other) + saved)
         assert len(sidecars(other)) == 2
 
+    def test_saving_with_a_source_over_a_file_removes_its_sidecars(self, path):
+        source = load_embedding_set(path)  # writes the sidecars of the bytes the save replaces
+        save_embedding_set(source, path, source=source)
+        assert sidecars(path) == []
+
     def test_undeletable_sidecars_do_not_stop_a_save(self, path, monkeypatch):
         def fail(p):
             raise PermissionError(13, "Permission denied", str(p))
@@ -393,6 +405,14 @@ class TestSave:
         back = load_embedding_set(path)
         assert back.words == emb.words
         np.testing.assert_allclose(back.matrix, emb.matrix, atol=1e-8)
+
+    def test_str_paths_save_with_and_without_a_source(self, tmp_path):
+        emb = EmbeddingSet("toy", ["a", "b"], [[0.25, -1.5], [3.0, 0.125]])
+        save_embedding_set(emb, str(tmp_path / "in.txt"))
+        source = load_embedding_set(str(tmp_path / "in.txt"))
+        save_embedding_set(source, str(tmp_path / "out.txt"), source=source)
+        for name in ("in.txt", "out.txt"):
+            assert (tmp_path / name).read_text(encoding="utf-8") == "a 0.25 -1.5\nb 3 0.125\n"
 
     def test_round_trip_large_random(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -552,6 +572,8 @@ class TestFormatted:
             values += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
         for e in range(-14, 31):  # ties of the ninth digit, as near as a float gets
             values += list((rng.integers(10**8, 10**9, 50) + 0.5) * 10.0 ** (e - 8))
+        for k in range(-14, 31):  # nine nines and a rounding up: the exponent moves a decade
+            values.append(float(f"1e{k}") * (1 - 4e-10))
         values += [9.9999999995e-5, 999999999.5, 99999999.95, 0.0, -0.0, 5e-324,
                    2.2250738585072014e-308, 2.225073858507201e-308, 1e99, 1e-99, 1e100, 1e-100]
         values = np.array(values)

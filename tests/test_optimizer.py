@@ -36,6 +36,7 @@ class TestTrainConfig:
         assert cfg.epochs == 7
         assert cfg.seed == 9
         assert cfg.learning_rate == 0.01
+        assert TrainConfig.union_defaults(l2_weight=0.0).l2_weight == 0.0
 
 
 def test_seeded_rng_accepts_negative_seed():
