@@ -653,9 +653,9 @@ SWEEP = ["sweep", "--sets", "a=a.txt", "b=b.txt", "--method", "svd", "--param", 
     (["build", "--config", "config.json", "--out", "out"], "config.json: config must be a JSON object"),
     (["build", "--method", "svd", "--out", "out"], "no embedding sets given (use --sets or a config file)"),
     (["build", "--sets", "a=a.txt", "b=b.txt", "--out", "out"], "no method given (use --method or a config file)"),
-    (["build", "--sets", "a=a.txt", "--method", "svd", "--out", "out"], "build needs at least 2 sets, got 1"),
     ([*SWEEP, "1,x"], "bad --values '1,x': expected comma-separated numbers"),
     ([*SWEEP, ","], "empty --values grid"),
+    (["build", "--sets", "a=a.txt", "--method", "svd", "--out", "out"], "build needs at least 2 sets, got 1"),
 ])
 def test_bad_arguments_refused_before_any_load(tmp_path, monkeypatch, argv, error):
     monkeypatch.chdir(tmp_path)  # no vector file exists: every error comes first
